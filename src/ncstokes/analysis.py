@@ -13,16 +13,15 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     assemble_divergence,
     assemble_load,
     assemble_pressure_mass,
     assemble_stiffness,
+    restrict_to_interior,
 )
-from .errors import EigenNonConvergenceError
+from .errors import EigenNonConvergenceError, NotPositiveDefiniteError
 from .femspace import (
     FieldCoefficients,
     SpaceKind,
@@ -31,7 +30,7 @@ from .femspace import (
     physical_gradients,
     quadrature,
 )
-from .solver import solve_spd
+from .solver import _factorize, _projected_cg, solve_spd
 
 
 @dataclass
@@ -168,15 +167,12 @@ def _reduced_infsup_blocks(mesh, pair):
     A = assemble_stiffness(mesh, vel_dm, nu=1.0)
     B = assemble_divergence(mesh, vel_dm, pres_dm)
     M = assemble_pressure_mass(mesh, pres_dm)
-    interior = np.setdiff1d(np.arange(vel_dm.n_dofs), vel_dm.boundary_dofs)
-    A_II = A[interior][:, interior].tocsr()
-    B_I = B[:, interior].tocsr()
-    c = np.asarray(M @ np.ones(pres_dm.n_dofs))
-    return A_II, B_I, M, c
+    _, A_II, _, B_I, _ = restrict_to_interior(vel_dm, A, B)
+    return A_II, B_I, M, np.asarray(M @ np.ones(pres_dm.n_dofs))
 
 
 def _infsup_dense(A_II, B_I, M, c):
-    lu = spla.splu(sp.csc_matrix(A_II))
+    lu = _factorize(A_II, NotPositiveDefiniteError)
     S = B_I @ lu.solve(B_I.T.toarray())
     S = 0.5 * (S + S.T)
     Z = scipy.linalg.null_space(c[None, :])
@@ -184,33 +180,6 @@ def _infsup_dense(A_II, B_I, M, c):
         Z.T @ S @ Z, Z.T @ M.toarray() @ Z, eigvals_only=True
     )
     return float(evals[0])
-
-
-def _pcg_semidefinite(apply_op, precondition, b, tol, maxiter):
-    """CG for a symmetric positive semidefinite operator with constant kernel."""
-    b = b - b.mean()
-    x = np.zeros_like(b)
-    scale = np.linalg.norm(b)
-    if scale == 0.0:
-        return x
-    r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = r @ z
-    for _ in range(maxiter):
-        Ap = apply_op(p)
-        Ap = Ap - Ap.mean()
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        r -= r.mean()
-        if np.linalg.norm(r) <= tol * scale:
-            return x
-        z = precondition(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise EigenNonConvergenceError(f"inner CG stalled after {maxiter} iterations")
 
 
 def _infsup_inverse_iteration(A_II, B_I, M, c, max_iterations, seed, block_size=8):
@@ -221,8 +190,8 @@ def _infsup_inverse_iteration(A_II, B_I, M, c, max_iterations, seed, block_size=
     smallest value. Every vector stays deflated against the constant
     pressure mode (the spurious zero eigenvalue of the pencil).
     """
-    lu_a = spla.splu(sp.csc_matrix(A_II))
-    lu_m = spla.splu(sp.csc_matrix(M))
+    lu_a = _factorize(A_II, NotPositiveDefiniteError)
+    lu_m = _factorize(M, NotPositiveDefiniteError)
     n_p = M.shape[0]
     ones = np.ones(n_p)
     c_total = c @ ones
@@ -247,9 +216,9 @@ def _infsup_inverse_iteration(A_II, B_I, M, c, max_iterations, seed, block_size=
         Y = np.column_stack(
             [
                 deflate(
-                    _pcg_semidefinite(
-                        apply_schur, lu_m.solve, M @ X[:, j],
-                        tol=1e-12, maxiter=max(200, n_p),
+                    _projected_cg(
+                        apply_schur, M @ X[:, j], tol=1e-12, maxiter=max(200, n_p),
+                        precondition=lu_m.solve, error=EigenNonConvergenceError,
                     )
                 )
                 for j in range(m)
@@ -313,21 +282,12 @@ def consistency_error(mesh, problem):
     int_gu = np.einsum("q,cdtq->tcd", w, exact_gu) * areas[:, None, None]
     exact_p = np.asarray(problem.exact_p(x, y))
     int_p = (exact_p @ w) * areas
-    fvals = np.asarray(problem.f(x, y))
-    vals = basis_values(dm.space, rule.points)
-    int_f = np.einsum("q,ctq,qj->tjc", w, fvals, vals) * areas[:, None, None]
     grads = physical_gradients(mesh, dm.space)
 
-    local = (
-        problem.nu * np.einsum("tcd,tjd->tjc", int_gu, grads)
-        - int_p[:, None, None] * grads
-        - int_f
-    )
-    residual = np.zeros(dm.n_dofs)
+    local = problem.nu * np.einsum("tcd,tjd->tjc", int_gu, grads) - int_p[:, None, None] * grads
+    residual = -assemble_load(mesh, dm, problem.f)
     np.add.at(residual, dm.cell_dofs, local.reshape(mesh.n_triangles, 6))
 
-    interior = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dofs)
-    A = assemble_stiffness(mesh, dm, nu=1.0)
-    A_II = A[interior][:, interior]
+    interior, A_II, *_ = restrict_to_interior(dm, assemble_stiffness(mesh, dm, nu=1.0))
     r_i = residual[interior]
     return float(np.sqrt(max(r_i @ solve_spd(A_II, r_i), 0.0)))

@@ -277,6 +277,21 @@ class ReducedSystem:
         return len(self.c)
 
 
+def restrict_to_interior(dofmap, A, B=None):
+    """Split velocity blocks between the unknowns and the Dirichlet dofs.
+
+    The unknowns are the dofs of ``dofmap`` off the boundary, in increasing
+    order. Returns ``(interior, A_II, A_IB, B_I, B_B)`` as CSR blocks: ``A``
+    split by rows and columns, ``B`` by columns (None when not given).
+    """
+    boundary = dofmap.boundary_dofs
+    interior = np.setdiff1d(np.arange(dofmap.n_dofs), boundary)
+    A_I = A.tocsr()[interior]
+    B = None if B is None else B.tocsr()
+    B_I, B_B = (None, None) if B is None else (B[:, interior], B[:, boundary])
+    return interior, A_I[:, interior], A_I[:, boundary], B_I, B_B
+
+
 def apply_constraints(system, bc):
     """Eliminate Dirichlet dofs symmetrically and append the mean constraint.
 
@@ -296,13 +311,7 @@ def apply_constraints(system, bc):
         )
     boundary_values = np.array([bc.values[int(d)] for d in boundary])
 
-    interior = np.setdiff1d(np.arange(vel_dm.n_dofs), boundary)
-    A = system.A.tocsr()
-    B = system.B.tocsr()
-    A_II = A[interior][:, interior]
-    A_IB = A[interior][:, boundary]
-    B_I = B[:, interior]
-    B_B = B[:, boundary]
+    interior, A_II, A_IB, B_I, B_B = restrict_to_interior(vel_dm, system.A, system.B)
 
     rhs_u = system.rhs_u[interior] - A_IB @ boundary_values
     rhs_p = B_B @ boundary_values
@@ -323,8 +332,8 @@ def apply_constraints(system, bc):
         interior=interior,
         boundary=boundary,
         boundary_values=boundary_values,
-        A_II=A_II.tocsr(),
-        B_I=B_I.tocsr(),
+        A_II=A_II,
+        B_I=B_I,
         G=system.G,
         c=system.c,
         vel_dofmap=vel_dm,

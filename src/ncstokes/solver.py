@@ -16,6 +16,30 @@ from .errors import (
 from .femspace import FieldCoefficients
 
 
+def _factorize(matrix, error):
+    """Sparse LU factor of ``matrix``; a SuperLU breakdown raises ``error``."""
+    try:
+        return spla.splu(sp.csc_matrix(matrix))
+    except RuntimeError as exc:
+        raise error(f"factorization failed: {exc}") from exc
+
+
+def _refine(matrix, rhs, solve, tol, max_passes, error, what):
+    """``solve(rhs)`` corrected by up to ``max_passes`` defect solves until the
+    residual is at most ``tol * ||rhs||`` (absolute when ``rhs`` vanishes)."""
+    x = solve(rhs)
+    scale = np.linalg.norm(rhs)
+    bound = tol * (scale if scale > 0 else 1.0)
+    for passes in range(max_passes + 1):
+        defect = rhs - matrix @ x
+        residual = np.linalg.norm(defect)
+        if residual <= bound:
+            return x
+        if passes < max_passes:
+            x = x + solve(defect)
+    raise error(f"residual {residual:.3e} above tolerance {bound:.3e} after {max_passes} {what}")
+
+
 class Factorization:
     """Sparse LU with residual-checked solves and iterative refinement.
 
@@ -28,23 +52,12 @@ class Factorization:
     def __init__(self, matrix, error=SingularSystemError):
         self._matrix = sp.csr_matrix(matrix)
         self._error = error
-        try:
-            self._lu = spla.splu(sp.csc_matrix(matrix))
-        except RuntimeError as exc:
-            raise error(f"factorization failed: {exc}") from exc
+        self._lu = _factorize(matrix, error)
 
     def solve(self, rhs, tol=1e-10, max_refinements=3):
         rhs = np.asarray(rhs, dtype=np.float64)
-        x = self._lu.solve(rhs)
-        scale = np.linalg.norm(rhs)
-        for _ in range(max_refinements + 1):
-            residual = np.linalg.norm(rhs - self._matrix @ x)
-            if residual <= tol * (scale if scale > 0 else 1.0):
-                return x
-            x = x + self._lu.solve(rhs - self._matrix @ x)
-        raise self._error(
-            f"residual {residual:.3e} above tolerance after iterative refinement"
-        )
+        return _refine(self._matrix, rhs, self._lu.solve, tol, max_refinements, self._error,
+                       "refinements")
 
 
 def solve_spd(A, b, tol=1e-12):
@@ -53,8 +66,7 @@ def solve_spd(A, b, tol=1e-12):
     Raises NotPositiveDefiniteError when the factorization breaks down or
     the solution fails the positivity probe b'x = x'Ax > 0.
     """
-    fact = Factorization(A, error=NotPositiveDefiniteError)
-    x = fact.solve(np.asarray(b, dtype=np.float64), tol=tol)
+    x = Factorization(A, error=NotPositiveDefiniteError).solve(b, tol=tol)
     if np.linalg.norm(b) > 0 and float(np.dot(b, x)) <= 0.0:
         raise NotPositiveDefiniteError("matrix is not positive definite (x'Ax <= 0)")
     return x
@@ -85,12 +97,12 @@ def solve_saddle(reduced, method="direct", tol=1e-10):
 
     ``method`` selects the sparse direct factorization of the augmented
     matrix (default) or the Schur-complement conjugate-gradient path
-    (``"uzawa"``) kept for cross validation.
+    (``"uzawa"``) kept for cross validation. Both meet the same residual
+    contract, ``||rhs - matrix @ x|| <= tol * ||rhs||``: the direct path by
+    iterative refinement, Uzawa by up to three defect corrections.
     """
     if method == "direct":
-        x = Factorization(reduced.matrix, error=SingularSystemError).solve(
-            reduced.rhs, tol=tol
-        )
+        x = Factorization(reduced.matrix).solve(reduced.rhs, tol=tol)
     elif method == "uzawa":
         x = _solve_uzawa(reduced, tol=tol)
     else:
@@ -98,64 +110,69 @@ def solve_saddle(reduced, method="direct", tol=1e-10):
     return _assemble_solution(reduced, x)
 
 
-def _solve_uzawa(reduced, tol, maxiter=None):
+def _solve_uzawa(reduced, tol):
     """Conjugate gradients on the pressure Schur complement.
 
     The operator B A^-1 B' (+G) has the constant pressure in its kernel, so
     residuals are kept mean free and the final pressure is shifted to the
-    weighted zero-mean representative.
+    weighted zero-mean representative. A full-system residual above ``tol``
+    is corrected, at most three times, by solving for the defect.
     """
     n_i = reduced.n_interior
     n_p = reduced.n_pressure
-    lu = spla.splu(sp.csc_matrix(reduced.A_II))
+    lu = _factorize(reduced.A_II, SingularSystemError)
     B_I = reduced.B_I
-    F = reduced.rhs[:n_i]
-    g_p = reduced.rhs[n_i : n_i + n_p]
 
     def apply_schur(q):
         y = B_I @ lu.solve(B_I.T @ q)
-        if reduced.G is not None:
-            y = y + reduced.G @ q
-        return y
+        return y if reduced.G is None else y + reduced.G @ q
 
-    rhs = -g_p - B_I @ lu.solve(F)
-    rhs = rhs - rhs.mean()
-    p = _projected_cg(apply_schur, rhs, tol=min(tol, 1e-11), maxiter=maxiter or 20 * n_p)
-    p = p - (reduced.c @ p) / reduced.c.sum()
-    u = lu.solve(F + B_I.T @ p)
-    x = np.concatenate([u, p, [0.0]])
-
-    residual = np.linalg.norm(reduced.rhs - reduced.matrix @ x)
-    scale = np.linalg.norm(reduced.rhs)
-    if residual > tol * (scale if scale > 0 else 1.0):
-        raise IterationDivergenceError(
-            f"Schur iteration residual {residual:.3e} above tolerance"
+    def schur_solve(rhs):
+        F = rhs[:n_i]
+        p = _projected_cg(
+            apply_schur, -rhs[n_i : n_i + n_p] - B_I @ lu.solve(F),
+            tol=min(tol, 1e-11), maxiter=20 * n_p,
         )
-    return x
+        p = p - (reduced.c @ p) / reduced.c.sum()
+        return np.concatenate([lu.solve(F + B_I.T @ p), p, [0.0]])
+
+    return _refine(reduced.matrix, reduced.rhs, schur_solve, tol, 3,
+                   IterationDivergenceError, "corrections")
 
 
-def _projected_cg(apply_op, b, tol, maxiter):
-    """Plain CG for a positive semidefinite operator with constant kernel."""
-    x = np.zeros_like(b)
+def _projected_cg(apply_op, b, tol, maxiter, precondition=None,
+                  error=IterationDivergenceError):
+    """Preconditioned CG for a positive semidefinite operator with constant kernel.
+
+    Residuals are kept mean free; stops at ``||r|| <= tol * ||b||`` and raises
+    ``error`` after ``maxiter`` steps. ``precondition`` defaults to the identity.
+    """
     r = b - b.mean()
-    p = r.copy()
-    rr = r @ r
-    scale = np.sqrt(rr)
+    x = np.zeros_like(r)
+    scale = np.linalg.norm(r)
     if scale == 0.0:
         return x
+    z = r if precondition is None else precondition(r)
+    p = z.copy()
+    rz = r @ z
     for _ in range(maxiter):
         Ap = apply_op(p)
         Ap = Ap - Ap.mean()
-        alpha = rr / (p @ Ap)
+        alpha = rz / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
         r -= r.mean()
-        rr_new = r @ r
-        if np.sqrt(rr_new) <= tol * scale:
+        residual = np.linalg.norm(r)
+        if residual <= tol * scale:
             return x
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise IterationDivergenceError(f"CG did not reach tolerance in {maxiter} iterations")
+        z = r if precondition is None else precondition(r)
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise error(
+        f"CG residual {residual / scale:.3e} (relative) above tolerance {tol:.1e} "
+        f"after {maxiter} iterations"
+    )
 
 
 def divergence_residual(system, solution):

@@ -177,6 +177,20 @@ def test_solve_with_uzawa_flag(tmp_path):
     assert run_cli("solve", "--pair", "ncp1-p0", "--solver", "uzawa", "--n", "4", "--out", str(out)) == 0
 
 
+def test_numerical_failure_is_reported_with_its_residual(tmp_path, monkeypatch, capsys):
+    import ncstokes.solver
+
+    monkeypatch.setattr(
+        ncstokes.solver, "_projected_cg", lambda apply_op, b, **kw: np.zeros_like(b)
+    )
+    code = run_cli("solve", "--problem", "mms1", "--pair", "ncp1-p0", "--solver", "uzawa",
+                   "--n", "4", "--out", str(tmp_path / "x.vtk"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: residual ")
+    assert "above tolerance" in err and "after 3 corrections" in err
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "ncstokes", "--help"], capture_output=True, text=True

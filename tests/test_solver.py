@@ -2,13 +2,25 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ncstokes import solver
 from ncstokes.assembly import apply_constraints, assemble_stiffness, build_saddle_system
-from ncstokes.errors import NotPositiveDefiniteError, SingularSystemError
+from ncstokes.errors import (
+    EigenNonConvergenceError,
+    IterationDivergenceError,
+    NotPositiveDefiniteError,
+    SingularSystemError,
+)
 from ncstokes.femspace import SpaceKind, build_dofmap
 from ncstokes.mesh import build_structured_mesh
 from ncstokes.pairs import PairId
 from ncstokes.problems import ProblemSpec, cavity_problem, mms_problem
-from ncstokes.solver import Factorization, divergence_residual, solve_saddle, solve_spd
+from ncstokes.solver import (
+    Factorization,
+    _projected_cg,
+    divergence_residual,
+    solve_saddle,
+    solve_spd,
+)
 
 
 def zero_vec(x, y):
@@ -169,6 +181,83 @@ def test_uzawa_matches_direct_on_nonsingular_pairs(pair):
     scale_p = max(1.0, np.linalg.norm(direct.p.values))
     assert np.linalg.norm(direct.u.values - uzawa.u.values) <= 1e-8 * scale_u
     assert np.linalg.norm(direct.p.values - uzawa.p.values) <= 1e-7 * scale_p
+
+
+@pytest.mark.parametrize("pair, n", [(PairId.NCP1_P1, 6), (PairId.NCP1_P1_STAB, 15)])
+def test_uzawa_corrects_to_the_full_system_residual(pair, n):
+    # sizes where a single Schur CG solve ends just above tol * ||rhs||
+    mesh, system, reduced = reduced_system(n, pair, mms_problem(nu=0.01))
+    direct = solve_saddle(reduced, method="direct")
+    uzawa = solve_saddle(reduced, method="uzawa")
+    assert divergence_residual(system, uzawa) <= 1e-9
+    scale_u = np.linalg.norm(direct.u.values)
+    scale_p = max(1.0, np.linalg.norm(direct.p.values))
+    assert np.linalg.norm(direct.u.values - uzawa.u.values) <= 1e-8 * scale_u
+    assert np.linalg.norm(direct.p.values - uzawa.p.values) <= 1e-7 * scale_p
+
+
+def test_uzawa_failure_names_residual_tolerance_and_corrections(monkeypatch):
+    _, _, reduced = reduced_system(4, PairId.NCP1_P0, mms_problem())
+    # a Schur solve that never moves the pressure cannot meet the contract
+    monkeypatch.setattr(solver, "_projected_cg", lambda apply_op, b, **kw: np.zeros_like(b))
+    with pytest.raises(
+        IterationDivergenceError,
+        match=r"residual \S+ above tolerance \S+ after 3 corrections",
+    ):
+        solve_saddle(reduced, method="uzawa")
+
+
+def test_refinement_failure_names_residual_tolerance_and_refinements():
+    hilbert = 1.0 / (np.arange(10)[:, None] + np.arange(10)[None, :] + 1.0)
+    with pytest.raises(
+        SingularSystemError,
+        match=r"residual \S+ above tolerance \S+ after 3 refinements",
+    ):
+        Factorization(hilbert).solve(np.ones(10), tol=1e-30)
+
+
+def weighted_graph_laplacian(rng, n=12):
+    """A connected weighted graph's Laplacian: symmetric, kernel the constants."""
+    W = np.zeros((n, n))
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(0, 6), (3, 9), (2, 7)]
+    for i, j in edges:
+        W[i, j] = W[j, i] = rng.uniform(0.5, 2.0)
+    return np.diag(W.sum(axis=1)) - W
+
+
+def mean_free_jacobi(L):
+    d = np.diag(L)
+
+    def precondition(r):
+        z = r / d
+        return z - z.mean()
+
+    return precondition
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_projected_cg_solves_singular_laplacian(rng, preconditioned):
+    L = weighted_graph_laplacian(rng)
+    b = rng.standard_normal(len(L))
+    precondition = mean_free_jacobi(L) if preconditioned else None
+    x = _projected_cg(lambda v: L @ v, b, tol=1e-12, maxiter=100, precondition=precondition)
+    expected = np.linalg.pinv(L) @ b
+    assert abs(x.mean()) <= 1e-14 * np.linalg.norm(x)
+    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("error", [IterationDivergenceError, EigenNonConvergenceError])
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_projected_cg_raises_the_callers_error(rng, error, preconditioned):
+    L = weighted_graph_laplacian(rng)
+    precondition = mean_free_jacobi(L) if preconditioned else None
+    with pytest.raises(
+        error, match=r"CG residual \S+ \(relative\) above tolerance 1\.0e-12 after 1 iterations"
+    ):
+        _projected_cg(
+            lambda v: L @ v, rng.standard_normal(len(L)), tol=1e-12, maxiter=1,
+            precondition=precondition, error=error,
+        )
 
 
 def test_unknown_method_rejected():
