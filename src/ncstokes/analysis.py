@@ -172,7 +172,7 @@ def _reduced_infsup_blocks(mesh, pair):
 
 
 def _infsup_dense(A_II, B_I, M, c):
-    lu = _factorize(A_II, NotPositiveDefiniteError)
+    lu, _ = _factorize(A_II, NotPositiveDefiniteError)
     S = B_I @ lu.solve(B_I.T.toarray())
     S = 0.5 * (S + S.T)
     Z = scipy.linalg.null_space(c[None, :])
@@ -190,8 +190,8 @@ def _infsup_inverse_iteration(A_II, B_I, M, c, max_iterations, seed, block_size=
     smallest value. Every vector stays deflated against the constant
     pressure mode (the spurious zero eigenvalue of the pencil).
     """
-    lu_a = _factorize(A_II, NotPositiveDefiniteError)
-    lu_m = _factorize(M, NotPositiveDefiniteError)
+    lu_a, _ = _factorize(A_II, NotPositiveDefiniteError)
+    lu_m, _ = _factorize(M, NotPositiveDefiniteError)
     n_p = M.shape[0]
     ones = np.ones(n_p)
     c_total = c @ ones

@@ -17,11 +17,29 @@ from .femspace import FieldCoefficients
 
 
 def _factorize(matrix, error):
-    """Sparse LU factor of ``matrix``; a SuperLU breakdown raises ``error``."""
+    """Sparse LU factor of ``matrix`` and the name of its ordering and pivoting.
+
+    With at most one zero on the diagonal (the mean-constraint multiplier of
+    a saddle matrix with a nonzero pressure block; none in an SPD block)
+    SuperLU orders ``A' + A`` by minimum degree and pivots statically on the
+    diagonal: the fill stays low and does not depend on the viscosity, and
+    ``_refine`` recovers the accuracy that static pivots give up. Any other
+    matrix, such as ``ncp1-p0``'s with its zero pressure block, keeps COLAMD
+    with threshold partial pivoting: static pivots give a wrong answer
+    there, and the symmetric ordering fills it about 100x. A SuperLU
+    breakdown raises ``error``, naming the strategy.
+    """
+    matrix = sp.csc_matrix(matrix)
+    if np.count_nonzero(matrix.diagonal() == 0) <= 1:
+        strategy = "MMD_AT_PLUS_A, static pivots"
+        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    else:
+        strategy, options = "COLAMD, threshold pivots", {}
     try:
-        return spla.splu(sp.csc_matrix(matrix))
+        return spla.splu(matrix, **options), strategy
     except RuntimeError as exc:
-        raise error(f"factorization failed: {exc}") from exc
+        raise error(f"factorization failed ({strategy}): {exc}") from exc
 
 
 def _refine(matrix, rhs, solve, tol, max_passes, error, what):
@@ -43,6 +61,9 @@ def _refine(matrix, rhs, solve, tol, max_passes, error, what):
 class Factorization:
     """Sparse LU with residual-checked solves and iterative refinement.
 
+    The ordering and pivoting follow the matrix's diagonal (see
+    ``_factorize``): symmetric minimum degree with static pivots when at
+    most one diagonal entry is zero, COLAMD with threshold pivots otherwise.
     ``solve`` guarantees a relative residual of at most ``tol`` (absolute
     when the right-hand side vanishes), refining up to three times before
     giving up. A factorization is read-only and may be shared across workers
@@ -52,12 +73,12 @@ class Factorization:
     def __init__(self, matrix, error=SingularSystemError):
         self._matrix = sp.csr_matrix(matrix)
         self._error = error
-        self._lu = _factorize(matrix, error)
+        self._lu, self._strategy = _factorize(matrix, error)
 
     def solve(self, rhs, tol=1e-10, max_refinements=3):
         rhs = np.asarray(rhs, dtype=np.float64)
         return _refine(self._matrix, rhs, self._lu.solve, tol, max_refinements, self._error,
-                       "refinements")
+                       f"refinements ({self._strategy})")
 
 
 def solve_spd(A, b, tol=1e-12):
@@ -114,14 +135,16 @@ def _solve_uzawa(reduced, tol):
     """Conjugate gradients on the pressure Schur complement.
 
     The operator B A^-1 B' (+G) has the constant pressure in its kernel, so
-    residuals are kept mean free and the final pressure is shifted to the
-    weighted zero-mean representative. A full-system residual above ``tol``
-    is corrected, at most three times, by solving for the defect.
+    the mean-constraint multiplier is the one that makes the Schur
+    right-hand side sum to zero, residuals are kept mean free, and the final
+    pressure is shifted to meet the constraint row ``c'p``. A full-system
+    residual above ``tol`` is corrected, at most three times, by solving for
+    the defect.
     """
     n_i = reduced.n_interior
     n_p = reduced.n_pressure
-    lu = _factorize(reduced.A_II, SingularSystemError)
-    B_I = reduced.B_I
+    lu, strategy = _factorize(reduced.A_II, SingularSystemError)
+    B_I, c = reduced.B_I, reduced.c
 
     def apply_schur(q):
         y = B_I @ lu.solve(B_I.T @ q)
@@ -129,15 +152,15 @@ def _solve_uzawa(reduced, tol):
 
     def schur_solve(rhs):
         F = rhs[:n_i]
-        p = _projected_cg(
-            apply_schur, -rhs[n_i : n_i + n_p] - B_I @ lu.solve(F),
-            tol=min(tol, 1e-11), maxiter=20 * n_p,
-        )
-        p = p - (reduced.c @ p) / reduced.c.sum()
-        return np.concatenate([lu.solve(F + B_I.T @ p), p, [0.0]])
+        b = -rhs[n_i : n_i + n_p] - B_I @ lu.solve(F)
+        multiplier = -b.sum() / c.sum()
+        p = _projected_cg(apply_schur, b + multiplier * c, tol=min(tol, 1e-11),
+                          maxiter=20 * n_p)
+        p = p + (rhs[-1] - c @ p) / c.sum()
+        return np.concatenate([lu.solve(F + B_I.T @ p), p, [multiplier]])
 
     return _refine(reduced.matrix, reduced.rhs, schur_solve, tol, 3,
-                   IterationDivergenceError, "corrections")
+                   IterationDivergenceError, f"corrections (A_II: {strategy})")
 
 
 def _projected_cg(apply_op, b, tol, maxiter, precondition=None,

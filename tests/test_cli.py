@@ -188,7 +188,8 @@ def test_numerical_failure_is_reported_with_its_residual(tmp_path, monkeypatch, 
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: residual ")
-    assert "above tolerance" in err and "after 3 corrections" in err
+    assert "above tolerance" in err
+    assert "after 3 corrections (A_II: MMD_AT_PLUS_A, static pivots)" in err
 
 
 def test_module_entry_point_help():

@@ -202,7 +202,8 @@ def test_uzawa_failure_names_residual_tolerance_and_corrections(monkeypatch):
     monkeypatch.setattr(solver, "_projected_cg", lambda apply_op, b, **kw: np.zeros_like(b))
     with pytest.raises(
         IterationDivergenceError,
-        match=r"residual \S+ above tolerance \S+ after 3 corrections",
+        match=r"residual \S+ above tolerance \S+ after 3 corrections "
+        r"\(A_II: MMD_AT_PLUS_A, static pivots\)",
     ):
         solve_saddle(reduced, method="uzawa")
 
@@ -211,7 +212,8 @@ def test_refinement_failure_names_residual_tolerance_and_refinements():
     hilbert = 1.0 / (np.arange(10)[:, None] + np.arange(10)[None, :] + 1.0)
     with pytest.raises(
         SingularSystemError,
-        match=r"residual \S+ above tolerance \S+ after 3 refinements",
+        match=r"residual \S+ above tolerance \S+ after 3 refinements "
+        r"\(MMD_AT_PLUS_A, static pivots\)",
     ):
         Factorization(hilbert).solve(np.ones(10), tol=1e-30)
 
@@ -264,3 +266,79 @@ def test_unknown_method_rejected():
     _, _, reduced = reduced_system(2, PairId.NCP1_P0, zero_problem())
     with pytest.raises(ValueError):
         solve_saddle(reduced, method="sor")
+
+
+@pytest.mark.parametrize("pair", [PairId.NCP1_P0, PairId.NCP1_P1_STAB, PairId.P1_P1_STAB])
+def test_uzawa_recovers_a_nonzero_multiplier(pair):
+    # the multiplier absorbs the net sum of the pressure-row data (sum(c) = 1)
+    _, _, reduced = reduced_system(6, pair, mms_problem(nu=0.01))
+    reduced.rhs[reduced.n_interior] += 1.0
+    direct = solve_saddle(reduced, method="direct")
+    uzawa = solve_saddle(reduced, method="uzawa")
+    assert direct.multiplier == pytest.approx(1.0, rel=1e-12)
+    assert uzawa.multiplier == pytest.approx(direct.multiplier, rel=1e-10)
+    scale_u = np.linalg.norm(direct.u.values)
+    scale_p = max(1.0, np.linalg.norm(direct.p.values))
+    assert np.linalg.norm(direct.u.values - uzawa.u.values) <= 1e-8 * scale_u
+    assert np.linalg.norm(direct.p.values - uzawa.p.values) <= 1e-7 * scale_p
+
+
+def lu_fill(lu, matrix):
+    return (lu.L.nnz + lu.U.nnz) / matrix.nnz
+
+
+@pytest.mark.parametrize("pair", [PairId.NCP1_P1, PairId.NCP1_P1_STAB, PairId.P1_P1_STAB])
+def test_nonzero_pressure_block_takes_symmetric_ordering_with_static_pivots(pair):
+    fills = []
+    for nu in (1.0, 0.01):
+        _, _, reduced = reduced_system(20, pair, mms_problem(nu=nu))
+        lu, strategy = solver._factorize(reduced.matrix, SingularSystemError)
+        assert strategy == "MMD_AT_PLUS_A, static pivots"
+        assert (lu.perm_r == lu.perm_c).all()
+        fills.append(lu_fill(lu, reduced.matrix))
+    # threshold pivoting moved this fill with nu (10.0 to 11.1 at n = 20)
+    assert max(fills) <= 4.0
+    assert fills[1] == pytest.approx(fills[0], rel=1e-3)
+
+
+def test_zero_pressure_block_keeps_threshold_pivoting():
+    # the symmetric ordering fills ncp1-p0 ~100x; COLAMD with static pivots is wrong
+    _, _, reduced = reduced_system(20, PairId.NCP1_P0, mms_problem(nu=0.01))
+    lu, strategy = solver._factorize(reduced.matrix, SingularSystemError)
+    assert strategy == "COLAMD, threshold pivots"
+    assert (lu.perm_r != lu.perm_c).any()
+    assert lu_fill(lu, reduced.matrix) < 20.0
+
+
+def test_raw_ncp1_p1_keeps_threshold_pivoting():
+    mesh = build_structured_mesh(8)
+    system, bc = build_saddle_system(mesh, PairId.NCP1_P1, mms_problem(), kernel_regularization=0.0)
+    _, strategy = solver._factorize(apply_constraints(system, bc).matrix, SingularSystemError)
+    assert strategy == "COLAMD, threshold pivots"
+
+
+def test_spd_interior_stiffness_takes_symmetric_ordering():
+    _, _, reduced = reduced_system(20, PairId.NCP1_P1, mms_problem())
+    lu, strategy = solver._factorize(reduced.A_II, NotPositiveDefiniteError)
+    assert strategy == "MMD_AT_PLUS_A, static pivots"
+    assert (lu.perm_r == lu.perm_c).all()
+
+
+@pytest.mark.parametrize(
+    "matrix, strategy",
+    [
+        ([[1.0, 1.0], [1.0, 1.0]], r"MMD_AT_PLUS_A, static pivots"),
+        ([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], r"COLAMD, threshold pivots"),
+    ],
+)
+def test_factorization_failure_names_the_strategy(matrix, strategy):
+    with pytest.raises(SingularSystemError, match=rf"factorization failed \({strategy}\)"):
+        Factorization(np.array(matrix))
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_kernel_regularization_keeps_incompressibility(n):
+    # README "Known behavior": under 1e-9 from n = 3 on (n = 2 gives 1.46e-9)
+    _, system, reduced = reduced_system(n, PairId.NCP1_P1, mms_problem(nu=0.01))
+    for method in ("direct", "uzawa"):
+        assert divergence_residual(system, solve_saddle(reduced, method=method)) <= 1e-9
