@@ -42,6 +42,7 @@ def _scatter(local, rows, cols, shape):
         (local.ravel(), (rr.ravel(), cc.ravel())), shape=shape
     ).tocsr()
     mat.sum_duplicates()
+    # stored zeros stay: they give COLAMD the pattern that keeps ncp1-p0's LU fill low
     return mat
 
 

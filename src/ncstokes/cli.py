@@ -164,15 +164,11 @@ def write_vtk(path, mesh, solution, title="ncstokes solution"):
     for ux, uy in cell_avg:
         lines.append(f"{ux:.12g} {uy:.12g} 0.0\n")
 
-    if solution.p.space is SpaceKind.P0_SCALAR:
-        lines.append("SCALARS pressure double 1\n")
-        lines.append("LOOKUP_TABLE default\n")
-        lines.extend(f"{v:.12g}\n" for v in solution.p.values)
-    else:
+    if solution.p.space is not SpaceKind.P0_SCALAR:
         lines.append(f"POINT_DATA {mesh.n_vertices}\n")
-        lines.append("SCALARS pressure double 1\n")
-        lines.append("LOOKUP_TABLE default\n")
-        lines.extend(f"{v:.12g}\n" for v in solution.p.values)
+    lines.append("SCALARS pressure double 1\n")
+    lines.append("LOOKUP_TABLE default\n")
+    lines.extend(f"{v:.12g}\n" for v in solution.p.values)
 
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(lines)

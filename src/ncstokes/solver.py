@@ -163,36 +163,33 @@ def _solve_uzawa(reduced, tol):
                    IterationDivergenceError, f"corrections (A_II: {strategy})")
 
 
-def _projected_cg(apply_op, b, tol, maxiter, precondition=None,
-                  error=IterationDivergenceError):
-    """Preconditioned CG for a positive semidefinite operator with constant kernel.
+def _projected_cg(apply_op, b, tol, maxiter):
+    """CG for a positive semidefinite operator with constant kernel.
 
     Residuals are kept mean free; stops at ``||r|| <= tol * ||b||`` and raises
-    ``error`` after ``maxiter`` steps. ``precondition`` defaults to the identity.
+    ``IterationDivergenceError`` after ``maxiter`` steps.
     """
     r = b - b.mean()
     x = np.zeros_like(r)
     scale = np.linalg.norm(r)
     if scale == 0.0:
         return x
-    z = r if precondition is None else precondition(r)
-    p = z.copy()
-    rz = r @ z
+    p = r.copy()
+    rr = r @ r
     for _ in range(maxiter):
         Ap = apply_op(p)
         Ap = Ap - Ap.mean()
-        alpha = rz / (p @ Ap)
+        alpha = rr / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
         r -= r.mean()
         residual = np.linalg.norm(r)
         if residual <= tol * scale:
             return x
-        z = r if precondition is None else precondition(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise error(
+        rr_new = r @ r
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    raise IterationDivergenceError(
         f"CG residual {residual / scale:.3e} (relative) above tolerance {tol:.1e} "
         f"after {maxiter} iterations"
     )

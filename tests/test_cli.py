@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncstokes
 from ncstokes.cli import main
 from ncstokes.mesh import build_structured_mesh, write_mesh
 
@@ -193,8 +196,13 @@ def test_numerical_failure_is_reported_with_its_residual(tmp_path, monkeypatch, 
 
 
 def test_module_entry_point_help():
+    # the subprocess imports the same package as this test, installed or not
+    package_root = str(Path(ncstokes.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    )}
     proc = subprocess.run(
-        [sys.executable, "-m", "ncstokes", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "ncstokes", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "convergence" in proc.stdout

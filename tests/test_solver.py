@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from ncstokes import solver
 from ncstokes.assembly import apply_constraints, assemble_stiffness, build_saddle_system
 from ncstokes.errors import (
-    EigenNonConvergenceError,
     IterationDivergenceError,
     NotPositiveDefiniteError,
     SingularSystemError,
@@ -227,39 +226,22 @@ def weighted_graph_laplacian(rng, n=12):
     return np.diag(W.sum(axis=1)) - W
 
 
-def mean_free_jacobi(L):
-    d = np.diag(L)
-
-    def precondition(r):
-        z = r / d
-        return z - z.mean()
-
-    return precondition
-
-
-@pytest.mark.parametrize("preconditioned", [False, True])
-def test_projected_cg_solves_singular_laplacian(rng, preconditioned):
+def test_projected_cg_solves_singular_laplacian(rng):
     L = weighted_graph_laplacian(rng)
     b = rng.standard_normal(len(L))
-    precondition = mean_free_jacobi(L) if preconditioned else None
-    x = _projected_cg(lambda v: L @ v, b, tol=1e-12, maxiter=100, precondition=precondition)
+    x = _projected_cg(lambda v: L @ v, b, tol=1e-12, maxiter=100)
     expected = np.linalg.pinv(L) @ b
     assert abs(x.mean()) <= 1e-14 * np.linalg.norm(x)
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("error", [IterationDivergenceError, EigenNonConvergenceError])
-@pytest.mark.parametrize("preconditioned", [False, True])
-def test_projected_cg_raises_the_callers_error(rng, error, preconditioned):
+def test_projected_cg_failure_names_residual_tolerance_and_iterations(rng):
     L = weighted_graph_laplacian(rng)
-    precondition = mean_free_jacobi(L) if preconditioned else None
     with pytest.raises(
-        error, match=r"CG residual \S+ \(relative\) above tolerance 1\.0e-12 after 1 iterations"
+        IterationDivergenceError,
+        match=r"CG residual \S+ \(relative\) above tolerance 1\.0e-12 after 1 iterations",
     ):
-        _projected_cg(
-            lambda v: L @ v, rng.standard_normal(len(L)), tol=1e-12, maxiter=1,
-            precondition=precondition, error=error,
-        )
+        _projected_cg(lambda v: L @ v, rng.standard_normal(len(L)), tol=1e-12, maxiter=1)
 
 
 def test_unknown_method_rejected():
@@ -308,6 +290,14 @@ def test_zero_pressure_block_keeps_threshold_pivoting():
     assert strategy == "COLAMD, threshold pivots"
     assert (lu.perm_r != lu.perm_c).any()
     assert lu_fill(lu, reduced.matrix) < 20.0
+
+
+def test_explicit_zeros_keep_ncp1_p0_fill_low():
+    # the zeros that assembly stores give COLAMD the coupled pattern; with
+    # eliminate_zeros() this factor holds 3.2e6 entries (1.28e6 with them)
+    _, _, reduced = reduced_system(40, PairId.NCP1_P0, mms_problem(nu=0.01))
+    lu, _ = solver._factorize(reduced.matrix, SingularSystemError)
+    assert lu.L.nnz + lu.U.nnz < 2.0e6
 
 
 def test_raw_ncp1_p1_keeps_threshold_pivoting():
