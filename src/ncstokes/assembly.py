@@ -42,7 +42,8 @@ def _scatter(local, rows, cols, shape):
         (local.ravel(), (rr.ravel(), cc.ravel())), shape=shape
     ).tocsr()
     mat.sum_duplicates()
-    # stored zeros stay: they give COLAMD the pattern that keeps ncp1-p0's LU fill low
+    # stored zeros stay: the orderings of ncp1-p0's saddle matrix (minimum degree of the
+    # scalar stiffness, or COLAMD) need this pattern to keep its LU fill and factor time low
     return mat
 
 

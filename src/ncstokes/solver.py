@@ -13,33 +13,72 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularSystemError,
 )
-from .femspace import FieldCoefficients
+from .femspace import FieldCoefficients, SpaceKind
 
 
-def _factorize(matrix, error):
+_STATIC_PIVOTS = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def _factorize(matrix, error, order=None):
     """Sparse LU factor of ``matrix`` and the name of its ordering and pivoting.
 
-    With at most one zero on the diagonal (the mean-constraint multiplier of
-    a saddle matrix with a nonzero pressure block; none in an SPD block)
-    SuperLU orders ``A' + A`` by minimum degree and pivots statically on the
-    diagonal: the fill stays low and does not depend on the viscosity, and
-    ``_refine`` recovers the accuracy that static pivots give up. Any other
-    matrix, such as ``ncp1-p0``'s with its zero pressure block, keeps COLAMD
-    with threshold partial pivoting: static pivots give a wrong answer
-    there, and the symmetric ordering fills it about 100x. A SuperLU
-    breakdown raises ``error``, naming the strategy.
+    Three policies, each pivoting statically on the diagonal where it can
+    (``_refine`` recovers the accuracy that static pivots give up):
+
+    - ``order`` given (a saddle matrix with a zero P0 pressure block, see
+      ``_zero_p0_block_order``): SuperLU factors ``matrix[order][:, order]``
+      in that order with static pivots. Its fill does not depend on the
+      viscosity.
+    - At most one zero on the diagonal (the mean-constraint multiplier of a
+      saddle matrix with a nonzero pressure block; none in an SPD block):
+      SuperLU orders ``A' + A`` by minimum degree and pivots statically.
+    - Any other matrix, such as a raw ``ncp1-p1`` saddle matrix, keeps
+      SuperLU's defaults, COLAMD with threshold partial pivoting.
+
+    A SuperLU breakdown raises ``error``, naming the strategy.
     """
     matrix = sp.csc_matrix(matrix)
-    if np.count_nonzero(matrix.diagonal() == 0) <= 1:
+    if order is not None:
+        strategy = "P0 saddle order, static pivots"
+        matrix = matrix[order][:, order]
+        options = dict(permc_spec="NATURAL", **_STATIC_PIVOTS)
+    elif np.count_nonzero(matrix.diagonal() == 0) <= 1:
         strategy = "MMD_AT_PLUS_A, static pivots"
-        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        options = dict(permc_spec="MMD_AT_PLUS_A", **_STATIC_PIVOTS)
     else:
         strategy, options = "COLAMD, threshold pivots", {}
     try:
         return spla.splu(matrix, **options), strategy
     except RuntimeError as exc:
         raise error(f"factorization failed ({strategy}): {exc}") from exc
+
+
+def _zero_p0_block_order(reduced, error):
+    """Elimination order of a saddle matrix with a zero P0 pressure block.
+
+    The velocities follow the minimum degree order of the scalar interior
+    stiffness (explicit zeros kept: without them the fill drops by half but
+    the factor takes about 40x longer at n = 30), interleaved over the two
+    components. Each pressure comes right after the last velocity it couples
+    to through a nonzero of ``B_I``, so its pivot has been filled in by then
+    (after the first one it would still be zero); the multiplier comes last.
+    Returns None for any other system.
+    """
+    if reduced.G is not None or reduced.pres_dofmap.space is not SpaceKind.P0_SCALAR:
+        return None
+    n_i = reduced.n_interior
+    scalar_lu, _ = _factorize(reduced.A_II[0::2, 0::2], error)
+    scalar = np.argsort(scalar_lu.perm_c)  # perm_c[j] is the position of column j
+    position = np.empty(n_i, dtype=np.int64)
+    position[np.column_stack([2 * scalar, 2 * scalar + 1]).ravel()] = np.arange(n_i)
+    coupling = reduced.B_I.tocsr(copy=True)
+    coupling.eliminate_zeros()
+    last = np.full(reduced.n_pressure, -1, dtype=np.int64)
+    coupled = np.diff(coupling.indptr) > 0
+    last[coupled] = np.maximum.reduceat(position[coupling.indices],
+                                        coupling.indptr[:-1][coupled])
+    key = np.concatenate([2 * position, 2 * last + 1, [2 * n_i + 1]])
+    return np.argsort(key, kind="stable")
 
 
 def _refine(matrix, rhs, solve, tol, max_passes, error, what):
@@ -61,23 +100,43 @@ def _refine(matrix, rhs, solve, tol, max_passes, error, what):
 class Factorization:
     """Sparse LU with residual-checked solves and iterative refinement.
 
-    The ordering and pivoting follow the matrix's diagonal (see
-    ``_factorize``): symmetric minimum degree with static pivots when at
-    most one diagonal entry is zero, COLAMD with threshold pivots otherwise.
+    ``saddle``, the ``ReducedSystem`` that ``matrix`` comes from, lets the
+    ordering follow its blocks: a zero P0 pressure block is factored in the
+    order of ``_zero_p0_block_order`` with static pivots. Otherwise the
+    ordering follows the matrix's diagonal: symmetric minimum degree with
+    static pivots when at most one diagonal entry is zero, COLAMD with
+    threshold pivots otherwise (see ``_factorize``). ``strategy`` names the
+    policy taken and ``fill`` is ``(L.nnz + U.nnz) / matrix.nnz``.
     ``solve`` guarantees a relative residual of at most ``tol`` (absolute
     when the right-hand side vanishes), refining up to three times before
     giving up. A factorization is read-only and may be shared across workers
     for repeated right-hand sides.
     """
 
-    def __init__(self, matrix, error=SingularSystemError):
+    def __init__(self, matrix, error=SingularSystemError, saddle=None):
         self._matrix = sp.csr_matrix(matrix)
         self._error = error
-        self._lu, self._strategy = _factorize(matrix, error)
+        self._order = None if saddle is None else _zero_p0_block_order(saddle, error)
+        self._lu, self._strategy = _factorize(matrix, error, self._order)
+
+    @property
+    def strategy(self):
+        return self._strategy
+
+    @property
+    def fill(self):
+        return (self._lu.L.nnz + self._lu.U.nnz) / self._matrix.nnz
+
+    def _lu_solve(self, rhs):
+        if self._order is None:
+            return self._lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[self._order] = self._lu.solve(rhs[self._order])
+        return x
 
     def solve(self, rhs, tol=1e-10, max_refinements=3):
         rhs = np.asarray(rhs, dtype=np.float64)
-        return _refine(self._matrix, rhs, self._lu.solve, tol, max_refinements, self._error,
+        return _refine(self._matrix, rhs, self._lu_solve, tol, max_refinements, self._error,
                        f"refinements ({self._strategy})")
 
 
@@ -123,7 +182,7 @@ def solve_saddle(reduced, method="direct", tol=1e-10):
     iterative refinement, Uzawa by up to three defect corrections.
     """
     if method == "direct":
-        x = Factorization(reduced.matrix).solve(reduced.rhs, tol=tol)
+        x = Factorization(reduced.matrix, saddle=reduced).solve(reduced.rhs, tol=tol)
     elif method == "uzawa":
         x = _solve_uzawa(reduced, tol=tol)
     else:

@@ -14,7 +14,7 @@ from ncstokes.assembly import assemble_divergence, build_saddle_system, apply_co
 from ncstokes.cli import solve_on_mesh
 from ncstokes.errors import EigenNonConvergenceError
 from ncstokes.femspace import FieldCoefficients, SpaceKind, build_dofmap, interpolate
-from ncstokes.mesh import Mesh, build_structured_mesh
+from ncstokes.mesh import build_structured_mesh
 from ncstokes.pairs import PairId
 from ncstokes.problems import ProblemSpec, mms_problem
 from ncstokes.solver import SolutionField, solve_saddle
@@ -159,27 +159,9 @@ def test_infsup_iterative_agrees_with_dense():
         assert abs(dense.beta_h - iterative.beta_h) <= 1e-8
 
 
-def jittered_flipped_mesh(n, seed=5):
-    """Unit square with interior vertices moved by up to h/5 per axis and each
-    cell's diagonal chosen at random: a generic topology with convex cells."""
-    rng = np.random.default_rng(seed)
-    side = np.linspace(0.0, 1.0, n + 1)
-    vertices = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
-    interior = ((vertices > 0.0) & (vertices < 1.0)).all(axis=1)
-    vertices[interior] += rng.uniform(-0.2, 0.2, (int(interior.sum()), 2)) / n
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            a = j * (n + 1) + i
-            b, d = a + 1, a + n + 1
-            c = d + 1
-            triangles += [(a, b, d), (b, c, d)] if rng.random() < 0.5 else [(a, b, c), (a, c, d)]
-    return Mesh(vertices, np.array(triangles))
-
-
 @pytest.mark.parametrize("pair", list(PairId))
 @pytest.mark.parametrize("n", [2, 4, 8, "jittered"])
-def test_infsup_iterative_agrees_with_dense_on_every_pair(pair, n):
+def test_infsup_iterative_agrees_with_dense_on_every_pair(pair, n, jittered_flipped_mesh):
     # n = 2 and n = 4 give ncp1-p0 LOBPCG blocks of 1 and 6 vectors
     mesh = jittered_flipped_mesh(6) if n == "jittered" else build_structured_mesh(n)
     dense = estimate_infsup(mesh, pair, method="dense").beta_h

@@ -50,6 +50,27 @@ def test_convergence_output_is_byte_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("convergence_ncp1-p0_mms1_nu0.01.csv",
+         ["convergence", "--pair", "ncp1-p0", "--problem", "mms1", "--levels", "10,20,30",
+          "--nu", "0.01"]),
+        ("solve_ncp1-p0_mms1_n12.vtk",
+         ["solve", "--pair", "ncp1-p0", "--solver", "direct", "--problem", "mms1", "--n", "12"]),
+        ("solve_ncp1-p0_cavity_n12.vtk",
+         ["solve", "--pair", "ncp1-p0", "--solver", "direct", "--problem", "cavity", "--n", "12"]),
+    ],
+)
+def test_output_matches_golden_bytes(tmp_path, golden, args):
+    out = tmp_path / golden
+    assert run_cli(*args, "--out", str(out)) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
 def test_unknown_pair_is_config_error(tmp_path):
     assert run_cli("convergence", "--pair", "p2-p1", "--levels", "2", "--out", str(tmp_path / "x.csv")) == 3
 

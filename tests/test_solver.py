@@ -283,13 +283,79 @@ def test_nonzero_pressure_block_takes_symmetric_ordering_with_static_pivots(pair
     assert fills[1] == pytest.approx(fills[0], rel=1e-3)
 
 
-def test_zero_pressure_block_keeps_threshold_pivoting():
-    # the symmetric ordering fills ncp1-p0 ~100x; COLAMD with static pivots is wrong
-    _, _, reduced = reduced_system(20, PairId.NCP1_P0, mms_problem(nu=0.01))
-    lu, strategy = solver._factorize(reduced.matrix, SingularSystemError)
-    assert strategy == "COLAMD, threshold pivots"
-    assert (lu.perm_r != lu.perm_c).any()
-    assert lu_fill(lu, reduced.matrix) < 20.0
+def test_zero_p0_pressure_block_takes_saddle_order_with_static_pivots():
+    fills = []
+    for nu in (1.0, 0.01):
+        _, _, reduced = reduced_system(20, PairId.NCP1_P0, mms_problem(nu=nu))
+        factor = Factorization(reduced.matrix, saddle=reduced)
+        assert factor.strategy == "P0 saddle order, static pivots"
+        colamd = Factorization(reduced.matrix)
+        assert colamd.strategy == "COLAMD, threshold pivots"
+        # COLAMD's fill moved with nu (15.2 at nu = 1, 5.6 at nu = 0.01)
+        assert factor.fill < colamd.fill
+        fills.append(factor.fill)
+    assert fills[1] == pytest.approx(fills[0], rel=1e-3)
+
+
+def test_saddle_order_puts_each_pressure_after_its_last_coupled_velocity():
+    _, _, reduced = reduced_system(8, PairId.NCP1_P0, mms_problem())
+    order = solver._zero_p0_block_order(reduced, SingularSystemError)
+    n_i, n_p = reduced.n_interior, reduced.n_pressure
+    assert np.array_equal(np.sort(order), np.arange(n_i + n_p + 1))
+    assert order[-1] == n_i + n_p
+    position = np.argsort(order)
+    coupling = sp.coo_matrix(reduced.B_I)
+    coupled = coupling.data != 0
+    rows, cols = coupling.row[coupled], coupling.col[coupled]
+    last = np.full(n_p, -1)
+    np.maximum.at(last, rows, position[cols])
+    assert (position[n_i : n_i + n_p] > last).all()
+    # velocities keep the scalar order on both components, pressures fill no gap
+    velocity = order[order < n_i]
+    assert np.array_equal(velocity[1::2], velocity[0::2] + 1)
+    for q in range(n_p):
+        between = order[last[q] + 1 : position[n_i + q]]
+        assert (between >= n_i).all()
+
+
+@pytest.mark.parametrize("pair", [PairId.NCP1_P1, PairId.NCP1_P1_STAB, PairId.P1_P1_STAB])
+def test_saddle_order_is_for_p0_pressures_only(pair):
+    _, _, reduced = reduced_system(6, pair, mms_problem())
+    assert solver._zero_p0_block_order(reduced, SingularSystemError) is None
+    assert Factorization(reduced.matrix, saddle=reduced).strategy == "MMD_AT_PLUS_A, static pivots"
+
+
+@pytest.mark.parametrize("nu", [1.0, 0.01])
+@pytest.mark.parametrize("make_problem", [mms_problem, cavity_problem])
+def test_saddle_order_agrees_with_colamd_on_a_generic_mesh(jittered_flipped_mesh, make_problem, nu):
+    mesh = jittered_flipped_mesh(10)
+    system, bc = build_saddle_system(mesh, PairId.NCP1_P0, make_problem(nu=nu))
+    reduced = apply_constraints(system, bc)
+    factor = Factorization(reduced.matrix, saddle=reduced)
+    assert factor.strategy == "P0 saddle order, static pivots"
+    x = factor.solve(reduced.rhs)
+    reference = Factorization(reduced.matrix).solve(reduced.rhs)
+    assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+def test_saddle_order_keeps_a_pressure_without_interior_velocity(reference_triangle_mesh):
+    # all three edges are on the boundary: the one pressure couples to no unknown
+    system, bc = build_saddle_system(reference_triangle_mesh, PairId.NCP1_P0, mms_problem())
+    reduced = apply_constraints(system, bc)
+    assert reduced.n_interior == 0
+    assert Factorization(reduced.matrix, saddle=reduced).strategy == "P0 saddle order, static pivots"
+    assert solve_saddle(reduced).p.values == pytest.approx([0.0])
+
+
+def test_saddle_order_failure_names_the_strategy():
+    _, _, reduced = reduced_system(4, PairId.NCP1_P0, mms_problem())
+    singular = reduced.matrix.tolil()
+    first_pressure = reduced.n_interior
+    singular[first_pressure, :] = 0.0
+    singular[:, first_pressure] = 0.0
+    with pytest.raises(SingularSystemError,
+                       match=r"factorization failed \(P0 saddle order, static pivots\)"):
+        Factorization(singular, saddle=reduced)
 
 
 def test_explicit_zeros_keep_ncp1_p0_fill_low():
