@@ -31,6 +31,7 @@ from .femspace import (
     build_dofmap,
     physical_gradients,
     quadrature,
+    quadrature_points,
 )
 from .solver import _factorize, solve_spd
 
@@ -68,10 +69,6 @@ class InfSupEstimate:
     beta_h: float
 
 
-def _quad_points(mesh, rule):
-    return np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[mesh.triangles])
-
-
 def error_norms(mesh, solution, problem):
     """Measure velocity and pressure errors against the exact solution.
 
@@ -81,7 +78,7 @@ def error_norms(mesh, solution, problem):
     if not problem.has_exact_solution:
         raise ValueError(f"problem '{problem.name}' has no exact solution")
     rule = quadrature(6)
-    pts = _quad_points(mesh, rule)
+    pts = quadrature_points(mesh, rule)
     x, y = pts[:, :, 0], pts[:, :, 1]
     w = rule.weights
     areas = mesh.areas
@@ -268,7 +265,7 @@ def consistency_error(mesh, problem):
         raise ValueError(f"problem '{problem.name}' has no exact solution")
     dm = build_dofmap(mesh, SpaceKind.NCP1_VECTOR)
     rule = quadrature(6)
-    pts = _quad_points(mesh, rule)
+    pts = quadrature_points(mesh, rule)
     x, y = pts[:, :, 0], pts[:, :, 1]
     w = rule.weights
     areas = mesh.areas

@@ -20,7 +20,9 @@ from .femspace import (
     dof_sites,
     physical_gradients,
     quadrature,
+    quadrature_points,
 )
+from .mesh import _format_rows
 
 _AREA_FLOOR = 1e-14
 
@@ -144,7 +146,7 @@ def assemble_load(mesh, vel_dofmap, f):
         raise ValueError("load vector expects a vector velocity space")
     _check_areas(mesh)
     rule = quadrature(6)
-    points = np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[mesh.triangles])
+    points = quadrature_points(mesh, rule)
     fvals = np.asarray(f(points[:, :, 0], points[:, :, 1]), dtype=np.float64)
     if fvals.shape != (2,) + points.shape[:2]:
         raise ValueError(f"body force returned shape {fvals.shape}")
@@ -348,5 +350,4 @@ def dump_matrix(matrix, path):
     coo = sp.coo_matrix(matrix)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")
+        fh.write(_format_rows("%d %d %r\n", coo.row, coo.col, coo.data.astype(np.float64)))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from .analysis import ConvergenceRecord, convergence_rates, error_norms, estimate_infsup
 from .assembly import apply_constraints, build_saddle_system
@@ -19,7 +18,7 @@ from .errors import (
     SingularSystemError,
 )
 from .femspace import SpaceKind
-from .mesh import build_structured_mesh, read_mesh
+from .mesh import _format_rows, build_structured_mesh, read_mesh
 from .pairs import PairId, parse_pair
 from .problems import make_problem
 from .solver import solve_saddle
@@ -37,20 +36,6 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliError(message)
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one command invocation."""
-
-    pair: PairId
-    problem: str = "mms1"
-    levels: list = field(default_factory=list)
-    nu: float = 1.0
-    out: str = ""
-    solver: str = "direct"
-    mesh_path: str = ""
-    n: int = 16
 
 
 def _parse_levels(text):
@@ -142,65 +127,52 @@ def write_vtk(path, mesh, solution, title="ncstokes solution"):
     linear pressure is written as point data, a piecewise constant one as
     cell data.
     """
-    lines = [
-        "# vtk DataFile Version 2.0\n",
-        f"{title}\n",
-        "ASCII\n",
-        "DATASET UNSTRUCTURED_GRID\n",
-        f"POINTS {mesh.n_vertices} double\n",
-    ]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.12g} {y:.12g} 0.0\n")
-    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
-    for i, j, k in mesh.triangles:
-        lines.append(f"3 {i} {j} {k}\n")
-    lines.append(f"CELL_TYPES {mesh.n_triangles}\n")
-    lines.extend("5\n" for _ in range(mesh.n_triangles))
-
+    n_tri = mesh.n_triangles
     vel_dm = solution.u.dofmap
-    cell_avg = solution.u.values[vel_dm.cell_dofs].reshape(mesh.n_triangles, 3, 2).mean(axis=1)
-    lines.append(f"CELL_DATA {mesh.n_triangles}\n")
-    lines.append("VECTORS velocity double\n")
-    for ux, uy in cell_avg:
-        lines.append(f"{ux:.12g} {uy:.12g} 0.0\n")
-
-    if solution.p.space is not SpaceKind.P0_SCALAR:
-        lines.append(f"POINT_DATA {mesh.n_vertices}\n")
-    lines.append("SCALARS pressure double 1\n")
-    lines.append("LOOKUP_TABLE default\n")
-    lines.extend(f"{v:.12g}\n" for v in solution.p.values)
-
+    cell_avg = solution.u.values[vel_dm.cell_dofs].reshape(n_tri, 3, 2).mean(axis=1)
+    point_data = f"POINT_DATA {mesh.n_vertices}\n"
+    if solution.p.space is SpaceKind.P0_SCALAR:
+        point_data = ""
+    text = (
+        f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+        f"POINTS {mesh.n_vertices} double\n"
+        + _format_rows("%.12g %.12g 0.0\n", mesh.vertices)
+        + f"CELLS {n_tri} {4 * n_tri}\n"
+        + _format_rows("3 %d %d %d\n", mesh.triangles)
+        + f"CELL_TYPES {n_tri}\n"
+        + "5\n" * n_tri
+        + f"CELL_DATA {n_tri}\nVECTORS velocity double\n"
+        + _format_rows("%.12g %.12g 0.0\n", cell_avg)
+        + f"{point_data}SCALARS pressure double 1\nLOOKUP_TABLE default\n"
+        + _format_rows("%.12g\n", solution.p.values)
+    )
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(lines)
+        fh.write(text)
 
 
-def cmd_convergence(config):
+def cmd_convergence(args):
     """Run a convergence study and write its CSV table."""
-    problem = _make_problem_checked(config.problem, config.nu)
+    problem = _make_problem_checked(args.problem, args.nu)
     if not problem.has_exact_solution:
         raise _CliError(f"problem '{problem.name}' has no exact solution")
-    records = run_convergence_study(config.pair, problem, config.levels,
-                                    method=config.solver)
-    write_convergence_csv(config.out, records)
+    records = run_convergence_study(args.pair, problem, args.levels, method=args.solver)
+    write_convergence_csv(args.out, records)
     return EXIT_OK
 
 
-def cmd_solve(config):
+def cmd_solve(args):
     """Solve one problem and write the fields as legacy VTK."""
-    problem = _make_problem_checked(config.problem, config.nu)
-    mesh = read_mesh(config.mesh_path) if config.mesh_path else build_structured_mesh(config.n)
-    _, solution = solve_on_mesh(mesh, config.pair, problem, method=config.solver)
-    write_vtk(config.out, mesh, solution, title=f"{problem.name} {config.pair.value}")
+    problem = _make_problem_checked(args.problem, args.nu)
+    mesh = read_mesh(args.mesh) if args.mesh else build_structured_mesh(args.n)
+    _, solution = solve_on_mesh(mesh, args.pair, problem, method=args.solver)
+    write_vtk(args.out, mesh, solution, title=f"{problem.name} {args.pair.value}")
     return EXIT_OK
 
 
-def cmd_infsup(config):
+def cmd_infsup(args):
     """Estimate the inf-sup constant per level and write the CSV table."""
-    estimates = [
-        estimate_infsup(build_structured_mesh(n), config.pair, n=n)
-        for n in config.levels
-    ]
-    write_infsup_csv(config.out, estimates)
+    estimates = [estimate_infsup(build_structured_mesh(n), args.pair, n=n) for n in args.levels]
+    write_infsup_csv(args.out, estimates)
     return EXIT_OK
 
 
@@ -209,19 +181,6 @@ def _make_problem_checked(name, nu):
         return make_problem(name, nu=nu)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
-
-
-def _config_from_args(args):
-    return RunConfig(
-        pair=_resolve_pair(args.pair, args.stab),
-        problem=getattr(args, "problem", "mms1"),
-        levels=_parse_levels(args.levels) if hasattr(args, "levels") else [],
-        nu=args.nu,
-        out=args.out,
-        solver=args.solver,
-        mesh_path=getattr(args, "mesh", ""),
-        n=getattr(args, "n", 16),
-    )
 
 
 def _build_parser():
@@ -263,7 +222,10 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(_config_from_args(args))
+        args.pair = _resolve_pair(args.pair, args.stab)
+        if "levels" in args:
+            args.levels = _parse_levels(args.levels)
+        return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,4 +34,4 @@ class NotPositiveDefiniteError(RuntimeError):
 
 
 class EigenNonConvergenceError(RuntimeError):
-    """Inverse iteration for the inf-sup eigenvalue did not converge."""
+    """LOBPCG for the inf-sup eigenvalue did not converge."""

@@ -124,6 +124,11 @@ def eval_basis(space, point):
     return basis_values(space, lam[None, :])[0], reference_gradients(space)
 
 
+def quadrature_points(mesh, rule):
+    """Physical coordinates of ``rule``'s points on every triangle, shape (T, nq, 2)."""
+    return np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[mesh.triangles])
+
+
 def physical_gradients(mesh, space):
     """Per-element physical gradients of the scalar basis, shape (T, nloc, 2).
 

@@ -34,10 +34,11 @@ def build_edge_table(vertices, triangles):
     triangles = np.asarray(triangles, dtype=np.int64)
     n_tri = triangles.shape[0]
     # local edge i sits opposite local vertex i
-    pairs = triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
-    pairs = np.sort(pairs, axis=1)
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    pairs = np.sort(triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
+    # one int64 key per pair sorts exactly as the pairs do lexicographically
+    n_vert = len(vertices)
+    keys, inverse = np.unique(pairs[:, 0] * n_vert + pairs[:, 1], return_inverse=True)
+    edges = np.column_stack(np.divmod(keys, n_vert))
     counts = np.bincount(inverse, minlength=len(edges))
     if counts.max(initial=0) > 2:
         bad = int(np.argmax(counts))
@@ -162,48 +163,69 @@ def build_structured_mesh(n):
     side = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(side, side)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-    return Mesh(vertices, np.asarray(triangles, dtype=np.int64))
+    # lower-left corner of each cell, row by row; its two triangles follow each other
+    v00 = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n].ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
+    return Mesh(vertices, triangles)
+
+
+def _format_rows(fmt, *columns):
+    """Apply ``fmt`` to every row of ``columns`` placed side by side, in one ``%``.
+
+    The values reach ``%`` as Python ints and floats, which format as
+    f-strings do; ``'%r' % np.float64(x)`` is not ``repr(x)`` on numpy 2.
+    """
+    table = np.column_stack([np.asarray(c, dtype=object) for c in columns])
+    return fmt * len(table) % tuple(table.ravel().tolist())
 
 
 def write_mesh(mesh, path):
     """Write a mesh in the text format; coordinates round-trip bitwise."""
-    lines = [f"{mesh.n_vertices} {mesh.n_triangles}\n"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}\n")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}\n")
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(lines)
+        fh.write(f"{mesh.n_vertices} {mesh.n_triangles}\n")
+        fh.write(_format_rows("%r %r\n", mesh.vertices))
+        fh.write(_format_rows("%d %d %d\n", mesh.triangles))
+
+
+def _parse_block(linenos, rows, dtype, width, shape_msg, value_msg):
+    """Convert the token rows of one block of data lines with one ``np.array`` call.
+
+    Returns the ``(k, width)`` array of the rows before the first bad one and
+    the MeshParseError for that row, or all rows and None. The rows are
+    checked one by one only when the conversion of the whole block fails.
+    """
+    try:
+        return np.array(rows, dtype=dtype).reshape(len(rows), width), None
+    except (ValueError, OverflowError):
+        pass
+    for k, (lineno, tokens) in enumerate(zip(linenos, rows)):
+        if len(tokens) != width:
+            error = MeshParseError(shape_msg, line=lineno)
+        else:
+            try:
+                np.array(tokens, dtype=dtype)
+                continue
+            except ValueError:
+                error = MeshParseError(value_msg, line=lineno)
+        return np.array(rows[:k], dtype=dtype).reshape(k, width), error
 
 
 def read_mesh(path):
     """Read a mesh from the text format.
 
-    Raises MeshParseError (with the 1-based line number) on malformed
-    content; I/O failures propagate as OSError.
+    Raises MeshParseError (with the 1-based line number, comment and blank
+    lines counted) on malformed content; I/O failures propagate as OSError.
     """
     with open(path, "r", encoding="ascii") as fh:
-        raw = fh.readlines()
+        bodies = [line.split("#", 1)[0].split() for line in fh]
 
-    data = []  # (line_number, tokens)
-    for lineno, line in enumerate(raw, start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            data.append((lineno, body.split()))
+    linenos = [lineno for lineno, body in enumerate(bodies, start=1) if body]
+    rows = [body for body in bodies if body]
+    if not rows:
+        raise MeshParseError("empty mesh file", line=len(bodies) or 1)
 
-    if not data:
-        raise MeshParseError("empty mesh file", line=len(raw) or 1)
-
-    lineno, header = data[0]
+    lineno, header = linenos[0], rows[0]
     if len(header) != 2:
         raise MeshParseError("header must be 'V T'", line=lineno)
     try:
@@ -212,31 +234,29 @@ def read_mesh(path):
         raise MeshParseError("header counts must be integers", line=lineno) from None
     if n_vert < 0 or n_tri < 0:
         raise MeshParseError("counts must be nonnegative", line=lineno)
-    if len(data) != 1 + n_vert + n_tri:
+    if len(rows) != 1 + n_vert + n_tri:
         raise MeshParseError(
-            f"expected {1 + n_vert + n_tri} data lines, found {len(data)}",
-            line=data[-1][0],
+            f"expected {1 + n_vert + n_tri} data lines, found {len(rows)}",
+            line=linenos[-1],
         )
 
-    vertices = np.empty((n_vert, 2), dtype=np.float64)
-    for row, (lineno, tokens) in enumerate(data[1 : 1 + n_vert]):
-        if len(tokens) != 2:
-            raise MeshParseError("vertex line must be 'x y'", line=lineno)
-        try:
-            vertices[row] = [float(tokens[0]), float(tokens[1])]
-        except ValueError:
-            raise MeshParseError("vertex coordinates must be numbers", line=lineno) from None
-
-    triangles = np.empty((n_tri, 3), dtype=np.int64)
-    for row, (lineno, tokens) in enumerate(data[1 + n_vert :]):
-        if len(tokens) != 3:
-            raise MeshParseError("triangle line must be 'i j k'", line=lineno)
-        try:
-            triangles[row] = [int(t) for t in tokens]
-        except ValueError:
-            raise MeshParseError("triangle indices must be integers", line=lineno) from None
-        if triangles[row].min() < 0 or triangles[row].max() >= n_vert:
-            raise MeshParseError(
-                f"triangle vertex index out of range [0, {n_vert})", line=lineno
-            )
+    vertices, error = _parse_block(
+        linenos[1 : 1 + n_vert], rows[1 : 1 + n_vert], np.float64, 2,
+        "vertex line must be 'x y'", "vertex coordinates must be numbers",
+    )
+    if error is not None:
+        raise error
+    triangles, error = _parse_block(
+        linenos[1 + n_vert :], rows[1 + n_vert :], np.int64, 3,
+        "triangle line must be 'i j k'", "triangle indices must be integers",
+    )
+    # an index out of range is reported if it comes before the first malformed line
+    bad = np.flatnonzero(((triangles < 0) | (triangles >= n_vert)).any(axis=1))
+    if len(bad):
+        raise MeshParseError(
+            f"triangle vertex index out of range [0, {n_vert})",
+            line=linenos[1 + n_vert + bad[0]],
+        )
+    if error is not None:
+        raise error
     return Mesh(vertices, triangles)

@@ -246,6 +246,11 @@ def test_dump_matrix_round_trip(tmp_path, mesh_n2):
     M = assemble_pressure_mass(mesh_n2, pdm)
     path = tmp_path / "mass.coo"
     dump_matrix(M, path)
+    coo = M.tocoo()
+    expected = [f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"] + [
+        f"{r} {c} {float(v)!r}\n" for r, c, v in zip(coo.row, coo.col, coo.data)
+    ]
+    assert path.read_text() == "".join(expected)
     triplets = []
     for line in path.read_text().splitlines():
         if line.startswith("#"):

@@ -63,6 +63,10 @@ DATA = Path(__file__).parent / "data"
          ["solve", "--pair", "ncp1-p0", "--solver", "direct", "--problem", "mms1", "--n", "12"]),
         ("solve_ncp1-p0_cavity_n12.vtk",
          ["solve", "--pair", "ncp1-p0", "--solver", "direct", "--problem", "cavity", "--n", "12"]),
+        # a continuous pressure (POINT_DATA) on an imported, jittered and flipped mesh
+        ("solve_ncp1-p1_cavity_jittered_n6.vtk",
+         ["solve", "--pair", "ncp1-p1", "--solver", "direct", "--problem", "cavity",
+          "--mesh", str(DATA / "jittered_flipped_n6.mesh")]),
     ],
 )
 def test_output_matches_golden_bytes(tmp_path, golden, args):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from ncstokes.mesh import (
     read_mesh,
     write_mesh,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_smallest_structured_mesh_counts():
@@ -51,6 +55,24 @@ def test_edge_table_is_lexicographic_and_consistent(mesh_n4):
     for t, tri_edge_row in enumerate(mesh_n4.tri_edges):
         for e in tri_edge_row:
             assert t in mesh_n4.edge_tris[e]
+
+
+def test_edge_table_matches_unique_over_pairs(jittered_flipped_mesh):
+    mesh = jittered_flipped_mesh(7)
+    pairs = np.sort(mesh.triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(mesh.edges, edges)
+    np.testing.assert_array_equal(mesh.tri_edges, inverse.reshape(-1, 3))
+
+
+def test_structured_triangles_in_cell_order():
+    n = 3
+    expected = []
+    for j in range(n):
+        for i in range(n):
+            v00 = j * (n + 1) + i
+            expected += [(v00, v00 + 1, v00 + n + 2), (v00, v00 + n + 2, v00 + n + 1)]
+    np.testing.assert_array_equal(build_structured_mesh(n).triangles, expected)
 
 
 def test_interior_edges_traversed_with_opposite_orientation(mesh_n4):
@@ -123,21 +145,56 @@ def test_read_reports_triangle_index_out_of_range_with_line(tmp_path):
     assert err.value.line == 5
 
 
+MALFORMED = [
+    ("", "empty", 1),
+    ("3\n", "header", 1),
+    ("3 one\n0 0\n1 0\n0 1\n", "header counts must be integers", 1),
+    ("3 -1\n0 0\n1 0\n0 1\n", "counts must be nonnegative", 1),
+    ("3 1\n0 0\n1 0\n0 1\n", "data lines", 4),
+    ("3 1\n0 0 0\n1 0\n0 1\n0 1 2\n", "vertex line must be 'x y'", 2),
+    ("3 1\n0 zero\n1 0\n0 1\n0 1 2\n", "numbers", 2),
+    ("3 1\n0 0\n1 0\n0 1\n0 1\n", "i j k", 5),
+    ("3 1\n0 0\n1 0\n0 1\n0 1 2.0\n", "triangle indices must be integers", 5),
+    # comment and blank lines count towards the reported line
+    ("# unit triangle\n\n3 1\n# vertices\n0 0\n1 zero\n\n0 1\n0 1 2\n", "numbers", 6),
+    # the first bad line wins, whichever check it fails
+    ("3 2\n0 0\n1 0\n0 1\n0 1 7\n0 1\n", "out of range", 5),
+    ("3 2\n0 0\n1 0\n0 1\n0 1\n0 1 7\n", "i j k", 5),
+]
+
+
+# the ids leave out the line, so each case keeps the test name it had before
 @pytest.mark.parametrize(
-    "content, match",
-    [
-        ("", "empty"),
-        ("3\n", "header"),
-        ("3 1\n0 0\n1 0\n0 1\n", "data lines"),
-        ("3 1\n0 zero\n1 0\n0 1\n0 1 2\n", "numbers"),
-        ("3 1\n0 0\n1 0\n0 1\n0 1\n", "i j k"),
-    ],
+    "content, match, line", MALFORMED, ids=[f"{c}-{m}" for c, m, _ in MALFORMED]
 )
-def test_read_rejects_malformed_files(tmp_path, content, match):
+def test_read_rejects_malformed_files(tmp_path, content, match, line):
     path = tmp_path / "bad.mesh"
     path.write_text(content)
-    with pytest.raises(MeshParseError, match=match):
+    with pytest.raises(MeshParseError, match=match) as err:
         read_mesh(path)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "content, n_vertices",
+    [("0 0\n", 0), ("# no triangles\n3 0\n0 0\n1 0\n0 1\n", 3)],
+)
+def test_read_accepts_meshes_without_triangles(tmp_path, content, n_vertices):
+    path = tmp_path / "empty.mesh"
+    path.write_text(content)
+    mesh = read_mesh(path)
+    assert mesh.vertices.shape == (n_vertices, 2)
+    assert mesh.triangles.shape == (0, 3)
+    assert mesh.n_edges == 0
+
+
+def test_committed_mesh_file_is_written_again_byte_for_byte(tmp_path, jittered_flipped_mesh):
+    committed = (DATA / "jittered_flipped_n6.mesh").read_bytes()
+    path = tmp_path / "jittered.mesh"
+    write_mesh(jittered_flipped_mesh(6), path)
+    assert path.read_bytes() == committed
+    write_mesh(read_mesh(DATA / "jittered_flipped_n6.mesh"), path)
+    assert path.read_bytes() == committed
 
 
 def test_read_missing_file_raises_oserror(tmp_path):
