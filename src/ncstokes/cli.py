@@ -1,7 +1,8 @@
 """Command-line interface: convergence studies, single solves, inf-sup sweeps.
 
-Exit codes are a stable scripting contract: 0 success, 2 numerical failure,
-3 configuration error, 4 I/O error.
+Exit codes are a stable scripting contract: 0 success, 2 numerical failure
+(``NumericalError``), 3 configuration error (``ValueError``, including
+``MeshParseError`` and bad arguments), 4 I/O error (``OSError``).
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ import sys
 
 from .analysis import ConvergenceRecord, convergence_rates, error_norms, estimate_infsup
 from .assembly import apply_constraints, build_saddle_system
-from .errors import (
-    EigenNonConvergenceError,
-    IterationDivergenceError,
-    NotPositiveDefiniteError,
-    SingularSystemError,
-)
+from .errors import NumericalError
 from .femspace import SpaceKind
 from .mesh import _format_rows, build_structured_mesh, read_mesh
 from .pairs import PairId, parse_pair
@@ -29,43 +25,34 @@ EXIT_CONFIG = 3
 EXIT_IO = 4
 
 
-class _CliError(Exception):
-    """Configuration problem reported on stderr with exit code 3."""
-
-
 class _Parser(argparse.ArgumentParser):
+    # argparse's own exit status 2 would read as a numerical failure
     def error(self, message):
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _parse_levels(text):
     if not text or not text.strip():
-        raise _CliError("levels must be a nonempty comma-separated list")
+        raise ValueError("levels must be a nonempty comma-separated list")
     try:
         levels = [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise _CliError(f"levels must be integers, got '{text}'") from None
+        raise ValueError(f"levels must be integers, got '{text}'") from None
     if any(n < 1 for n in levels):
-        raise _CliError("levels must be positive")
+        raise ValueError("levels must be positive")
     if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise _CliError("levels must be strictly increasing")
+        raise ValueError("levels must be strictly increasing")
     return levels
 
 
 def _resolve_pair(name, stab):
-    try:
-        pair = parse_pair(name)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-    if stab is None:
-        return pair
-    want = stab == "on"
-    if pair.stabilized == want:
+    pair = parse_pair(name)
+    if stab is None or pair.stabilized == (stab == "on"):
         return pair
     swap = {PairId.NCP1_P1: PairId.NCP1_P1_STAB, PairId.NCP1_P1_STAB: PairId.NCP1_P1}
     if pair in swap:
         return swap[pair]
-    raise _CliError(f"pair '{name}' has no --stab {stab} variant")
+    raise ValueError(f"pair '{name}' has no --stab {stab} variant")
 
 
 def solve_on_mesh(mesh, pair, problem, method="direct"):
@@ -152,9 +139,7 @@ def write_vtk(path, mesh, solution, title="ncstokes solution"):
 
 def cmd_convergence(args):
     """Run a convergence study and write its CSV table."""
-    problem = _make_problem_checked(args.problem, args.nu)
-    if not problem.has_exact_solution:
-        raise _CliError(f"problem '{problem.name}' has no exact solution")
+    problem = make_problem(args.problem, nu=args.nu)
     records = run_convergence_study(args.pair, problem, args.levels, method=args.solver)
     write_convergence_csv(args.out, records)
     return EXIT_OK
@@ -162,7 +147,7 @@ def cmd_convergence(args):
 
 def cmd_solve(args):
     """Solve one problem and write the fields as legacy VTK."""
-    problem = _make_problem_checked(args.problem, args.nu)
+    problem = make_problem(args.problem, nu=args.nu)
     mesh = read_mesh(args.mesh) if args.mesh else build_structured_mesh(args.n)
     _, solution = solve_on_mesh(mesh, args.pair, problem, method=args.solver)
     write_vtk(args.out, mesh, solution, title=f"{problem.name} {args.pair.value}")
@@ -174,13 +159,6 @@ def cmd_infsup(args):
     estimates = [estimate_infsup(build_structured_mesh(n), args.pair, n=n) for n in args.levels]
     write_infsup_csv(args.out, estimates)
     return EXIT_OK
-
-
-def _make_problem_checked(name, nu):
-    try:
-        return make_problem(name, nu=nu)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
 
 
 def _build_parser():
@@ -226,18 +204,10 @@ def main(argv=None):
         if "levels" in args:
             args.levels = _parse_levels(args.levels)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (
-        SingularSystemError,
-        IterationDivergenceError,
-        NotPositiveDefiniteError,
-        EigenNonConvergenceError,
-    ) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
+    except OSError as exc:  # before ValueError: io.UnsupportedOperation is both
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

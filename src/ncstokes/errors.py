@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Bad input raises ``ValueError`` or a subclass (CLI exit 3), a numerical
+breakdown a ``NumericalError`` subclass (exit 2), file access ``OSError`` (4).
+"""
 
 
 class NonConformingMeshError(ValueError):
@@ -21,17 +25,21 @@ class InconsistentBCError(ValueError):
     """Dirichlet data does not match the boundary dof set."""
 
 
-class SingularSystemError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A solve or eigensolve broke down on well-formed input."""
+
+
+class SingularSystemError(NumericalError):
     """Sparse factorization broke down or the residual contract failed."""
 
 
-class IterationDivergenceError(RuntimeError):
+class IterationDivergenceError(NumericalError):
     """An iterative solve exceeded its iteration budget."""
 
 
-class NotPositiveDefiniteError(RuntimeError):
+class NotPositiveDefiniteError(NumericalError):
     """A matrix handed to an SPD solve is not positive definite."""
 
 
-class EigenNonConvergenceError(RuntimeError):
+class EigenNonConvergenceError(NumericalError):
     """LOBPCG for the inf-sup eigenvalue did not converge."""

@@ -43,7 +43,7 @@ def build_edge_table(vertices, triangles):
     if counts.max(initial=0) > 2:
         bad = int(np.argmax(counts))
         raise NonConformingMeshError(
-            f"edge {tuple(edges[bad])} is shared by {counts[bad]} triangles"
+            f"edge {tuple(edges[bad].tolist())} is shared by {counts[bad]} triangles"
         )
     order = np.argsort(inverse, kind="stable")
     tri_of = order // 3
@@ -208,6 +208,8 @@ def _parse_block(linenos, rows, dtype, width, shape_msg, value_msg):
                 continue
             except ValueError:
                 error = MeshParseError(value_msg, line=lineno)
+            except OverflowError:
+                error = MeshParseError(f"number does not fit in {np.dtype(dtype)}", line=lineno)
         return np.array(rows[:k], dtype=dtype).reshape(k, width), error
 
 

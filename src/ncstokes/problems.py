@@ -22,7 +22,7 @@ _PI = np.pi
 
 @dataclass
 class ProblemSpec:
-    """A Stokes problem: viscosity, body force, boundary data, exact fields."""
+    """A Stokes problem: viscosity (finite, positive), body force, boundary data, exact fields."""
 
     name: str
     nu: float
@@ -32,6 +32,12 @@ class ProblemSpec:
     exact_grad_u: Optional[Callable] = None
     exact_p: Optional[Callable] = None
 
+    def __post_init__(self):
+        if not np.isfinite(self.nu):
+            raise ValueError(f"viscosity must be finite, got {self.nu}")
+        if self.nu <= 0:
+            raise ValueError("viscosity must be positive")
+
     @property
     def has_exact_solution(self):
         return self.exact_u is not None
@@ -39,9 +45,6 @@ class ProblemSpec:
 
 def mms_problem(nu=1.0):
     """Manufactured-solution problem with homogeneous Dirichlet data."""
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
-
     def exact_u(x, y):
         u1 = _PI * np.sin(_PI * x) ** 2 * np.sin(2 * _PI * y)
         u2 = -_PI * np.sin(2 * _PI * x) * np.sin(_PI * y) ** 2
@@ -83,9 +86,6 @@ def mms_problem(nu=1.0):
 
 def cavity_problem(nu=1.0):
     """Driven cavity: zero body force, unit lid velocity along y = 1."""
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
-
     def f(x, y):
         zero = np.zeros(np.broadcast(x, y).shape)
         return np.stack([zero, zero])

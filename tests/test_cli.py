@@ -220,6 +220,85 @@ def test_numerical_failure_is_reported_with_its_residual(tmp_path, monkeypatch, 
     assert "after 3 corrections (A_II: MMD_AT_PLUS_A, static pivots)" in err
 
 
+_NO_LEVELS = "error: levels must be a nonempty comma-separated list\n"
+_NO_FILE = "i/o error: [Errno 2] No such file or directory: '{tmp}/"
+
+# (arguments, exit code, exact stderr); "{tmp}" stands for the test's directory
+FAILURE_CONTRACT = {
+    "no-command": ([], 3, "error: the following arguments are required: command\n"),
+    "missing-levels": (["convergence"], 3,
+                       "error: the following arguments are required: --levels\n"),
+    "bad-int": (["solve", "--n", "abc"], 3, "error: argument --n: invalid int value: 'abc'\n"),
+    "bad-choice": (["solve", "--solver", "foo"], 3,
+                   "error: argument --solver: invalid choice: 'foo' "
+                   "(choose from 'direct', 'uzawa')\n"),
+    "unknown-flag": (["solve", "--bogus"], 3, "error: unrecognized arguments: --bogus\n"),
+    "levels-empty": (["convergence", "--levels", ""], 3, _NO_LEVELS),
+    "levels-blank": (["convergence", "--levels", " "], 3, _NO_LEVELS),
+    "levels-not-int": (["convergence", "--levels", "a,b"], 3,
+                       "error: levels must be integers, got 'a,b'\n"),
+    "levels-zero": (["infsup", "--levels", "0"], 3, "error: levels must be positive\n"),
+    "levels-decreasing": (["convergence", "--levels", "4,2"], 3,
+                          "error: levels must be strictly increasing\n"),
+    "unknown-pair": (["convergence", "--pair", "p2-p1", "--levels", "2"], 3,
+                     "error: unknown pair 'p2-p1' "
+                     "(choose from: ncp1-p0, ncp1-p1, ncp1-p1-stab, p1-p1-stab)\n"),
+    "no-stab-variant": (["convergence", "--pair", "ncp1-p0", "--stab", "on", "--levels", "2"], 3,
+                        "error: pair 'ncp1-p0' has no --stab on variant\n"),
+    "no-unstab-variant": (["infsup", "--pair", "p1-p1-stab", "--stab", "off", "--levels", "2"], 3,
+                          "error: pair 'p1-p1-stab' has no --stab off variant\n"),
+    "unknown-problem": (["convergence", "--problem", "nope", "--levels", "2"], 3,
+                        "error: unknown problem 'nope' (choose from: cavity, mms1)\n"),
+    "no-exact-solution": (["convergence", "--problem", "cavity", "--levels", "2"], 3,
+                          "error: problem 'cavity' has no exact solution\n"),
+    "nu-zero": (["solve", "--nu", "0", "--n", "2"], 3, "error: viscosity must be positive\n"),
+    "nu-negative": (["convergence", "--nu", "-1", "--levels", "2"], 3,
+                    "error: viscosity must be positive\n"),
+    "nu-nan": (["solve", "--nu", "nan", "--n", "2"], 3,
+               "error: viscosity must be finite, got nan\n"),
+    "nu-inf": (["solve", "--nu", "inf", "--n", "2"], 3,
+               "error: viscosity must be finite, got inf\n"),
+    "n-zero": (["solve", "--n", "0"], 3, "error: n must be a positive integer\n"),
+    "missing-mesh": (["solve", "--mesh", "{tmp}/missing.mesh"], 4, _NO_FILE + "missing.mesh'\n"),
+    "missing-out-dir": (["solve", "--n", "2", "--out", "{tmp}/no_dir/x.vtk"], 4,
+                        _NO_FILE + "no_dir/x.vtk'\n"),
+    "malformed-mesh": (["solve", "--mesh", "{tmp}/bad.mesh"], 3,
+                       "error: line 4: vertex coordinates must be numbers\n"),
+    "overflowing-index": (["solve", "--mesh", "{tmp}/overflow.mesh"], 3,
+                          "error: line 5: number does not fit in int64\n"),
+    "uzawa-failure": (["solve", "--problem", "mms1", "--pair", "ncp1-p0", "--solver", "uzawa",
+                       "--n", "4"], 2,
+                      "numerical failure: residual 4.176e-01 above tolerance 1.507e-09 "
+                      "after 3 corrections (A_II: MMD_AT_PLUS_A, static pivots)\n"),
+}
+
+
+@pytest.mark.parametrize("case", FAILURE_CONTRACT)
+def test_failure_contract(tmp_path, monkeypatch, capsys, case):
+    import ncstokes.solver
+
+    # Uzawa's inner solve returns zeros; only the uzawa row reaches it
+    monkeypatch.setattr(
+        ncstokes.solver, "_projected_cg", lambda apply_op, b, **kw: np.zeros_like(b)
+    )
+    (tmp_path / "bad.mesh").write_text("3 1\n0 0\n1 0\n0 x\n0 1 2\n")
+    (tmp_path / "overflow.mesh").write_text("3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n")
+    args, code, stderr = FAILURE_CONTRACT[case]
+    args = [a.format(tmp=tmp_path) for a in args]
+    if args and "--out" not in args:
+        args += ["--out", str(tmp_path / "out")]
+    assert (run_cli(*args), capsys.readouterr().err) == (code, stderr.format(tmp=tmp_path))
+    assert not (tmp_path / "out").exists()
+
+
+def test_numerical_errors_share_one_base():
+    from ncstokes import errors
+
+    for cls in (errors.SingularSystemError, errors.IterationDivergenceError,
+                errors.NotPositiveDefiniteError, errors.EigenNonConvergenceError):
+        assert issubclass(cls, errors.NumericalError) and issubclass(cls, RuntimeError)
+
+
 def test_module_entry_point_help():
     # the subprocess imports the same package as this test, installed or not
     package_root = str(Path(ncstokes.__file__).parents[1])

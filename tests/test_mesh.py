@@ -97,6 +97,12 @@ def test_repeated_triangle_is_nonconforming():
         build_edge_table(mesh.vertices, triangles)
 
 
+def test_nonconforming_edge_is_named_with_python_ints():
+    with pytest.raises(NonConformingMeshError) as err:
+        Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]] * 3)
+    assert str(err.value) == "edge (0, 1) is shared by 3 triangles"
+
+
 def test_clockwise_triangle_rejected():
     with pytest.raises(ValueError, match="counterclockwise"):
         Mesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])
@@ -155,6 +161,8 @@ MALFORMED = [
     ("3 1\n0 zero\n1 0\n0 1\n0 1 2\n", "numbers", 2),
     ("3 1\n0 0\n1 0\n0 1\n0 1\n", "i j k", 5),
     ("3 1\n0 0\n1 0\n0 1\n0 1 2.0\n", "triangle indices must be integers", 5),
+    ("3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n", "number does not fit in int64", 5),
+    ("3 1\n0 0\n1 0\n0 1\n-99999999999999999999 1 2\n", "number does not fit in int64", 5),
     # comment and blank lines count towards the reported line
     ("# unit triangle\n\n3 1\n# vertices\n0 0\n1 zero\n\n0 1\n0 1 2\n", "numbers", 6),
     # the first bad line wins, whichever check it fails

@@ -115,3 +115,20 @@ def test_make_problem_registry():
         mms_problem(nu=0.0)
     with pytest.raises(ValueError):
         cavity_problem(nu=-1.0)
+
+
+@pytest.mark.parametrize("factory", [mms_problem, cavity_problem])
+@pytest.mark.parametrize(
+    "nu, message",
+    [
+        (0.0, "viscosity must be positive"),
+        (-1.0, "viscosity must be positive"),
+        (float("nan"), "viscosity must be finite, got nan"),
+        (float("inf"), "viscosity must be finite, got inf"),
+        (float("-inf"), "viscosity must be finite, got -inf"),
+    ],
+)
+def test_invalid_viscosity_is_rejected(factory, nu, message):
+    with pytest.raises(ValueError) as err:
+        factory(nu=nu)
+    assert str(err.value) == message
