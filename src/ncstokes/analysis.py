@@ -33,7 +33,7 @@ from .femspace import (
     quadrature,
     quadrature_points,
 )
-from .solver import _factorize, solve_spd
+from .solver import _component_factor, _factorize, solve_spd
 
 
 @dataclass
@@ -192,17 +192,19 @@ def _infsup_lobpcg(A_II, B_I, M, block_size, max_iterations, seed):
     """Smallest eigenvalue of the Schur pencil (S, M) by LOBPCG.
 
     S = B_I A_II^-1 B_I' is applied to a whole block with one multi-column
-    solve and M^-1 preconditions. The constant pressure, the pencil's
-    spurious zero mode, is excluded as an M-orthogonality constraint. The
-    smallest Ritz pair is accepted on its own residual.
+    solve through the factor of the scalar block of ``A_II``, each column's
+    two velocity components as two columns (``_component_factor``), and
+    M^-1 preconditions. The constant pressure, the pencil's spurious zero
+    mode, is excluded as an M-orthogonality constraint. The smallest Ritz
+    pair is accepted on its own residual.
     """
-    lu_a, _ = _factorize(A_II, NotPositiveDefiniteError)
+    _, _, solve_a = _component_factor(A_II, NotPositiveDefiniteError)
     lu_m, _ = _factorize(M, NotPositiveDefiniteError)
     n_p = M.shape[0]
     iterations = 0
 
     def apply_schur(X):
-        return B_I @ lu_a.solve(B_I.T @ X)
+        return B_I @ solve_a(B_I.T @ X)
 
     def precondition(R):
         nonlocal iterations

@@ -246,6 +246,10 @@ def read_mesh(path):
         linenos[1 : 1 + n_vert], rows[1 : 1 + n_vert], np.float64, 2,
         "vertex line must be 'x y'", "vertex coordinates must be numbers",
     )
+    # a coordinate that parses but is not finite (1e999, nan) is reported the same way
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if len(bad):
+        raise MeshParseError("vertex coordinates must be finite", line=linenos[1 + bad[0]])
     if error is not None:
         raise error
     triangles, error = _parse_block(

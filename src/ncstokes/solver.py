@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,51 @@ def _factorize(matrix, error, order=None):
         raise error(f"factorization failed ({strategy}): {exc}") from exc
 
 
+def _component_factor(A_II, error):
+    """One factor of the scalar block behind a two-component interior stiffness.
+
+    ``A_II`` interleaves the two velocity components of every interior dof
+    (``assemble_stiffness`` copies one scalar block onto both and the
+    Dirichlet set covers both components of a boundary dof), so it is two
+    copies of ``K = A_II[0::2, 0::2]``. That is checked: a nonzero coupling
+    between the components, or a second block that differs from ``K`` by more
+    than ``1e-12 * max|K|``, raises ``ValueError`` naming the largest
+    mismatch. ``K`` is factored once (a breakdown raises ``error``) and the
+    solve maps an interior vector or block ``y`` to ``A_II^-1 y`` with one
+    SuperLU solve, the components as extra right-hand-side columns.
+    Returns the SuperLU factor of ``K``, its strategy and the solve.
+    """
+    A = sp.csr_matrix(A_II)
+    n_i = A.shape[0]
+    if n_i % 2:
+        raise ValueError(f"A_II has odd order {n_i}, not two components")
+    K, second = A[0::2, 0::2], A[1::2, 1::2]
+
+    def mismatch(worst, where, tolerance):
+        return ValueError(f"A_II is not two copies of one scalar block: largest mismatch "
+                          f"{worst:.3e} in the {where} (tolerance {tolerance:.3e})")
+
+    # a nonzero outside the two diagonal blocks couples the components
+    if np.count_nonzero(A.data) > np.count_nonzero(K.data) + np.count_nonzero(second.data):
+        rows = np.repeat(np.arange(n_i) % 2, np.diff(A.indptr))
+        raise mismatch(np.abs(A.data[rows != A.indices % 2]).max(), "coupling blocks", 0.0)
+    if np.array_equal(K.indptr, second.indptr) and np.array_equal(K.indices, second.indices):
+        difference = np.abs(K.data - second.data).max(initial=0.0)
+    else:
+        difference = abs(K - second).max()
+    bound = 1e-12 * np.abs(K.data).max(initial=0.0)
+    if not difference <= bound:
+        raise mismatch(difference, "second component block", bound)
+    lu, strategy = _factorize(K, error)
+
+    def solve(y):
+        # the column count is spelled out: reshape cannot infer it when n_i == 0
+        columns = 2 * math.prod(y.shape[1:])
+        return lu.solve(y.reshape(n_i // 2, columns)).reshape(y.shape)
+
+    return lu, strategy, solve
+
+
 def _zero_p0_block_order(reduced, error):
     """Elimination order of a saddle matrix with a zero P0 pressure block.
 
@@ -62,12 +108,14 @@ def _zero_p0_block_order(reduced, error):
     components. Each pressure comes right after the last velocity it couples
     to through a nonzero of ``B_I``, so its pivot has been filled in by then
     (after the first one it would still be zero); the multiplier comes last.
-    Returns None for any other system.
+    The scalar order is read from ``_component_factor``'s factor of that
+    block, which checks that ``A_II`` is two copies of it. Returns None for
+    any other system.
     """
     if reduced.G is not None or reduced.pres_dofmap.space is not SpaceKind.P0_SCALAR:
         return None
     n_i = reduced.n_interior
-    scalar_lu, _ = _factorize(reduced.A_II[0::2, 0::2], error)
+    scalar_lu, _, _ = _component_factor(reduced.A_II, error)
     scalar = np.argsort(scalar_lu.perm_c)  # perm_c[j] is the position of column j
     position = np.empty(n_i, dtype=np.int64)
     position[np.column_stack([2 * scalar, 2 * scalar + 1]).ravel()] = np.arange(n_i)
@@ -196,27 +244,29 @@ def _solve_uzawa(reduced, tol):
     The operator B A^-1 B' (+G) has the constant pressure in its kernel, so
     the mean-constraint multiplier is the one that makes the Schur
     right-hand side sum to zero, residuals are kept mean free, and the final
-    pressure is shifted to meet the constraint row ``c'p``. A full-system
-    residual above ``tol`` is corrected, at most three times, by solving for
-    the defect.
+    pressure is shifted to meet the constraint row ``c'p``. Every ``A^-1``
+    is one solve with the factor of the scalar block of ``A_II``, the two
+    velocity components as two columns (``_component_factor``). A
+    full-system residual above ``tol`` is corrected, at most three times, by
+    solving for the defect.
     """
     n_i = reduced.n_interior
     n_p = reduced.n_pressure
-    lu, strategy = _factorize(reduced.A_II, SingularSystemError)
+    _, strategy, solve_a = _component_factor(reduced.A_II, SingularSystemError)
     B_I, c = reduced.B_I, reduced.c
 
     def apply_schur(q):
-        y = B_I @ lu.solve(B_I.T @ q)
+        y = B_I @ solve_a(B_I.T @ q)
         return y if reduced.G is None else y + reduced.G @ q
 
     def schur_solve(rhs):
         F = rhs[:n_i]
-        b = -rhs[n_i : n_i + n_p] - B_I @ lu.solve(F)
+        b = -rhs[n_i : n_i + n_p] - B_I @ solve_a(F)
         multiplier = -b.sum() / c.sum()
         p = _projected_cg(apply_schur, b + multiplier * c, tol=min(tol, 1e-11),
                           maxiter=20 * n_p)
         p = p + (rhs[-1] - c @ p) / c.sum()
-        return np.concatenate([lu.solve(F + B_I.T @ p), p, [multiplier]])
+        return np.concatenate([solve_a(F + B_I.T @ p), p, [multiplier]])
 
     return _refine(reduced.matrix, reduced.rhs, schur_solve, tol, 3,
                    IterationDivergenceError, f"corrections (A_II: {strategy})")

@@ -266,6 +266,8 @@ FAILURE_CONTRACT = {
                        "error: line 4: vertex coordinates must be numbers\n"),
     "overflowing-index": (["solve", "--mesh", "{tmp}/overflow.mesh"], 3,
                           "error: line 5: number does not fit in int64\n"),
+    "infinite-coordinate": (["solve", "--mesh", "{tmp}/infinite.mesh"], 3,
+                            "error: line 3: vertex coordinates must be finite\n"),
     "uzawa-failure": (["solve", "--problem", "mms1", "--pair", "ncp1-p0", "--solver", "uzawa",
                        "--n", "4"], 2,
                       "numerical failure: residual 4.176e-01 above tolerance 1.507e-09 "
@@ -283,6 +285,7 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, case):
     )
     (tmp_path / "bad.mesh").write_text("3 1\n0 0\n1 0\n0 x\n0 1 2\n")
     (tmp_path / "overflow.mesh").write_text("3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n")
+    (tmp_path / "infinite.mesh").write_text("3 1\n0 0\n1e999 0\n0 1\n0 1 2\n")
     args, code, stderr = FAILURE_CONTRACT[case]
     args = [a.format(tmp=tmp_path) for a in args]
     if args and "--out" not in args:

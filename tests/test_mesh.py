@@ -163,11 +163,16 @@ MALFORMED = [
     ("3 1\n0 0\n1 0\n0 1\n0 1 2.0\n", "triangle indices must be integers", 5),
     ("3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n", "number does not fit in int64", 5),
     ("3 1\n0 0\n1 0\n0 1\n-99999999999999999999 1 2\n", "number does not fit in int64", 5),
+    # a coordinate that parses to inf or nan is named on its line, not by Mesh
+    ("3 1\n0 0\n1e999 0\n0 1\n0 1 2\n", "vertex coordinates must be finite", 3),
+    ("3 1\n0 0\n1 0\n0 nan\n0 1 2\n", "vertex coordinates must be finite", 4),
+    ("3 1\n-inf 0\n1 0\n0 1\n0 1 2\n", "vertex coordinates must be finite", 2),
     # comment and blank lines count towards the reported line
     ("# unit triangle\n\n3 1\n# vertices\n0 0\n1 zero\n\n0 1\n0 1 2\n", "numbers", 6),
     # the first bad line wins, whichever check it fails
     ("3 2\n0 0\n1 0\n0 1\n0 1 7\n0 1\n", "out of range", 5),
     ("3 2\n0 0\n1 0\n0 1\n0 1\n0 1 7\n", "i j k", 5),
+    ("3 1\n0 0\ninf 0\n0 x\n0 1 2\n", "vertex coordinates must be finite", 3),
 ]
 
 

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ncstokes import solver
+from ncstokes import analysis, solver
 from ncstokes.assembly import apply_constraints, assemble_stiffness, build_saddle_system
 from ncstokes.errors import (
     IterationDivergenceError,
@@ -10,7 +12,7 @@ from ncstokes.errors import (
     SingularSystemError,
 )
 from ncstokes.femspace import SpaceKind, build_dofmap
-from ncstokes.mesh import build_structured_mesh
+from ncstokes.mesh import build_structured_mesh, read_mesh
 from ncstokes.pairs import PairId
 from ncstokes.problems import ProblemSpec, cavity_problem, mms_problem
 from ncstokes.solver import (
@@ -398,3 +400,100 @@ def test_kernel_regularization_keeps_incompressibility(n):
     _, system, reduced = reduced_system(n, PairId.NCP1_P1, mms_problem(nu=0.01))
     for method in ("direct", "uzawa"):
         assert divergence_residual(system, solve_saddle(reduced, method=method)) <= 1e-9
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def reduced_on(mesh, pair):
+    system, bc = build_saddle_system(mesh, pair, mms_problem(nu=0.01))
+    return apply_constraints(system, bc)
+
+
+@pytest.mark.parametrize("pair", list(PairId))
+@pytest.mark.parametrize("mesh_source", ["n4", "n13", "jittered_flipped_n6.mesh"])
+def test_interior_stiffness_is_two_copies_of_one_scalar_block(pair, mesh_source, rng):
+    mesh = (read_mesh(DATA / mesh_source) if mesh_source.endswith(".mesh")
+            else build_structured_mesh(int(mesh_source[1:])))
+    reduced = reduced_on(mesh, pair)
+    A_II = reduced.A_II.tocsr()
+    K = A_II[0::2, 0::2]
+    assert np.count_nonzero(A_II[0::2, 1::2].data) == 0
+    assert np.count_nonzero(A_II[1::2, 0::2].data) == 0
+    assert abs(A_II[1::2, 1::2] - K).max() <= 1e-12 * abs(K).max()
+    lu, strategy, solve = solver._component_factor(A_II, SingularSystemError)
+    assert strategy == "MMD_AT_PLUS_A, static pivots"
+    assert lu.shape == K.shape
+    # one vector and one block of right-hand sides against the vector factor
+    vector_lu, _ = solver._factorize(A_II, SingularSystemError)
+    for y in (rng.standard_normal(reduced.n_interior), rng.standard_normal((reduced.n_interior, 3))):
+        expected = vector_lu.solve(y)
+        assert solve(y).shape == y.shape
+        assert np.linalg.norm(solve(y) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def second_component_doubled(A_II):
+    return sp.diags(np.tile([1.0, 2.0], A_II.shape[0] // 2)) @ A_II
+
+
+def one_coupling_entry(A_II):
+    coupled = A_II.tolil()
+    coupled[0, 1] = 1e-3
+    return coupled.tocsr()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (second_component_doubled,
+         r"A_II is not two copies of one scalar block: largest mismatch \S+ "
+         r"in the second component block \(tolerance \S+\)"),
+        (one_coupling_entry,
+         r"A_II is not two copies of one scalar block: largest mismatch 1\.000e-03 "
+         r"in the coupling blocks \(tolerance 0\.000e\+00\)"),
+    ],
+)
+def test_component_factor_rejects_a_stiffness_that_is_not_two_copies(corrupt, message):
+    _, _, reduced = reduced_system(6, PairId.NCP1_P0, mms_problem())
+    corrupted = type(reduced)(**{**reduced.__dict__, "A_II": corrupt(reduced.A_II)})
+    with pytest.raises(ValueError, match=message):
+        solver._component_factor(corrupted.A_II, SingularSystemError)
+    # every path that treats A_II as two components checks it
+    with pytest.raises(ValueError, match=message):
+        solve_saddle(corrupted, method="uzawa")
+    with pytest.raises(ValueError, match=message):
+        solver._zero_p0_block_order(corrupted, SingularSystemError)
+
+
+@pytest.fixture()
+def splu_shapes(monkeypatch):
+    """Shapes of the matrices handed to ``scipy.sparse.linalg.splu``."""
+    shapes = []
+    splu = solver.spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", recording_splu)
+    return shapes
+
+
+@pytest.mark.parametrize("pair", list(PairId))
+def test_uzawa_factors_the_half_size_scalar_block(pair, splu_shapes):
+    _, _, reduced = reduced_system(6, pair, mms_problem(nu=0.01))
+    half = reduced.n_interior // 2
+    solve_saddle(reduced, method="uzawa")
+    assert splu_shapes == [(half, half)]
+
+
+def test_infsup_lobpcg_factors_the_half_size_scalar_block(splu_shapes):
+    mesh = build_structured_mesh(8)
+    A_II, _, M, _ = analysis._reduced_infsup_blocks(mesh, PairId.NCP1_P0)
+    half = A_II.shape[0] // 2
+    analysis.estimate_infsup(mesh, PairId.NCP1_P0, method="iterative")
+    assert splu_shapes == [(half, half), M.shape]
+    # the dense oracle stays on the vector factor, as an independent check
+    splu_shapes.clear()
+    analysis.estimate_infsup(mesh, PairId.NCP1_P0, method="dense")
+    assert splu_shapes == [A_II.shape]
