@@ -3,12 +3,11 @@
 The broken H1 seminorm sums element-wise gradients, which is the natural
 energy norm for the midpoint-continuous velocity space. The inf-sup constant
 is the square root of the smallest generalized eigenvalue of the pressure
-Schur complement against the pressure mass matrix on the zero-mean subspace.
+Schur complement against the pressure mass on the zero-mean subspace (Arnoldi).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +32,7 @@ from .femspace import (
     quadrature,
     quadrature_points,
 )
-from .solver import _component_factor, _factorize, solve_spd
+from .solver import _component_factor, _factorize
 
 
 @dataclass
@@ -182,76 +181,74 @@ def _infsup_dense(A_II, B_I, M, c):
 
 
 # Acceptance bound on the relative residual ||S x - lam M x|| / ||M x|| of the
-# returned Ritz pair. Converged stable pairs reach about 1e-9. On a singular
-# pair the first Ritz pair can stay near 1e-8 after 200 iterations
-# (p1-p1-stab, n = 32) while its eigenvalue is already at roundoff level.
+# returned Ritz pair. Converged pairs reach about 1e-15 (every pair, n = 4-32);
+# the constant pressure, which a beta^2 above 1 would return, has residual 1.
 _RESIDUAL_TOL = 1e-6
 
 
-def _infsup_lobpcg(A_II, B_I, M, block_size, max_iterations, seed):
-    """Smallest eigenvalue of the Schur pencil (S, M) by LOBPCG.
+def _infsup_arnoldi(A_II, B_I, M, c, max_iterations, seed):
+    """Smallest eigenvalue of the Schur pencil (S, M) by restarted Arnoldi.
 
-    S = B_I A_II^-1 B_I' is applied to a whole block with one multi-column
-    solve through the factor of the scalar block of ``A_II``, each column's
-    two velocity components as two columns (``_component_factor``), and
-    M^-1 preconditions. The constant pressure, the pencil's spurious zero
-    mode, is excluded as an M-orthogonality constraint. The smallest Ritz
-    pair is accepted on its own residual.
+    ARPACK (``eigs``, ``which="SR"``) runs on ``q -> M^-1 (S q + c (c.q) / c.1)``,
+    S = B_I A_II^-1 B_I' applied through the factor of the scalar block of
+    ``A_II``, the two velocity components as two columns (``_component_factor``).
+    The rank-one term moves the constant pressure, the pencil's spurious zero
+    mode, to eigenvalue 1, above every beta^2, and keeps the rest of the
+    spectrum. ``max_iterations`` caps the restarts (None: ARPACK's 10 per
+    pressure unknown). The Ritz pair is accepted on its own residual.
     """
     _, _, solve_a = _component_factor(A_II, NotPositiveDefiniteError)
     lu_m, _ = _factorize(M, NotPositiveDefiniteError)
-    n_p = M.shape[0]
-    iterations = 0
+    applications = 0
 
-    def apply_schur(X):
-        return B_I @ solve_a(B_I.T @ X)
+    def apply_schur(q):
+        return B_I @ solve_a(B_I.T @ q)
 
-    def precondition(R):
-        nonlocal iterations
-        iterations += 1
-        return lu_m.solve(R)
+    def apply_op(q):
+        nonlocal applications
+        applications += 1
+        return lu_m.solve(apply_schur(q) + c * (c @ q) / c.sum())
 
-    start = np.random.default_rng(seed).standard_normal((n_p, block_size))
-    with warnings.catch_warnings():
-        # lobpcg warns when it stops short of its own tolerance; the
-        # residual check below decides instead
-        warnings.simplefilter("ignore", UserWarning)
-        lams, vecs = spla.lobpcg(
-            apply_schur, start, B=M, M=precondition, Y=np.ones((n_p, 1)),
-            tol=1e-10, maxiter=max_iterations, largest=False,
-        )
-    lam, x = float(lams[0]), vecs[:, 0]
+    op = spla.LinearOperator(M.shape, matvec=apply_op, dtype=np.float64)
+    start = np.random.default_rng(seed).standard_normal(M.shape[0])
+    try:
+        lams, vecs = spla.eigs(op, k=1, which="SR", v0=start, tol=0, maxiter=max_iterations)
+    except spla.ArpackNoConvergence as exc:
+        raise EigenNonConvergenceError(
+            f"Arnoldi did not converge to tolerance 0 (machine precision) after "
+            f"{max_iterations or 10 * M.shape[0]} restarts and {applications} operator applications"
+        ) from exc
+    lam, x = float(lams[0].real), vecs[:, 0].real
     Mx = M @ x
     residual = np.linalg.norm(apply_schur(x) - lam * Mx) / np.linalg.norm(Mx)
     if not residual <= _RESIDUAL_TOL:
         raise EigenNonConvergenceError(
-            f"LOBPCG residual {residual:.3e} above tolerance {_RESIDUAL_TOL:.1e} "
-            f"after {iterations} iterations"
+            f"Arnoldi residual {residual:.3e} above tolerance {_RESIDUAL_TOL:.1e} "
+            f"after {applications} operator applications"
         )
     return lam
 
 
-def estimate_infsup(mesh, pair, n=None, method="auto", max_iterations=200, seed=0):
+def estimate_infsup(mesh, pair, n=None, method="auto", max_iterations=None, seed=0):
     """Estimate the discrete inf-sup constant of a velocity/pressure pair.
 
     The estimator always uses the unit-viscosity stiffness, so the result is
     independent of the problem's viscosity. ``method`` may be ``"dense"``
     (full generalized eigensolve on the mean-zero subspace, the reference
-    oracle), ``"iterative"`` (LOBPCG on the Schur pencil with a start block
-    of up to eight vectors drawn from ``seed`` and ``max_iterations`` as its
-    iteration limit), or ``"auto"``, which is the same as ``"iterative"``.
-    Both fall back to the dense solve below six pressure unknowns, where no
-    LOBPCG block fits beside the constant-pressure constraint. A Ritz pair
-    that fails its residual check raises ``EigenNonConvergenceError``.
+    oracle), ``"iterative"`` (ARPACK's restarted Arnoldi on the Schur
+    pencil from a start vector drawn from ``seed``, ``max_iterations`` its
+    restart limit, None for ARPACK's ten per pressure unknown), or ``"auto"``,
+    the same as ``"iterative"``. Both use the dense solve below three
+    pressure unknowns, where ARPACK has no room. A restart limit reached, or
+    a Ritz pair failing its residual check, raises ``EigenNonConvergenceError``.
     """
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown inf-sup method '{method}'")
     A_II, B_I, M, c = _reduced_infsup_blocks(mesh, pair)
-    block_size = min(8, (M.shape[0] - 1) // 5)
-    if method == "dense" or block_size < 1:
+    if method == "dense" or M.shape[0] < 3:
         lam = _infsup_dense(A_II, B_I, M, c)
     else:
-        lam = _infsup_lobpcg(A_II, B_I, M, block_size, max_iterations, seed)
+        lam = _infsup_arnoldi(A_II, B_I, M, c, max_iterations, seed)
     return InfSupEstimate(n=n, h=mesh.h, beta_h=float(np.sqrt(max(lam, 0.0))))
 
 
@@ -261,7 +258,8 @@ def consistency_error(mesh, problem):
     Assembles r_j = nu*(grad u, grad psi_j) - (p, div psi_j) - (f, psi_j)
     over the midpoint-continuous velocity basis with the degree-6 rule,
     restricts to interior dofs, and returns sqrt(r' A^-1 r) with the
-    unit-viscosity stiffness as the Riesz map of the broken H1 norm.
+    unit-viscosity stiffness (its scalar block's factor, ``_component_factor``)
+    as the Riesz map of the broken H1 norm.
     """
     if not problem.has_exact_solution:
         raise ValueError(f"problem '{problem.name}' has no exact solution")
@@ -283,5 +281,6 @@ def consistency_error(mesh, problem):
     np.add.at(residual, dm.cell_dofs, local.reshape(mesh.n_triangles, 6))
 
     interior, A_II, *_ = restrict_to_interior(dm, assemble_stiffness(mesh, dm, nu=1.0))
+    _, _, solve_a = _component_factor(A_II, NotPositiveDefiniteError)
     r_i = residual[interior]
-    return float(np.sqrt(max(r_i @ solve_spd(A_II, r_i), 0.0)))
+    return float(np.sqrt(max(r_i @ solve_a(r_i), 0.0)))

@@ -42,4 +42,4 @@ class NotPositiveDefiniteError(NumericalError):
 
 
 class EigenNonConvergenceError(NumericalError):
-    """LOBPCG for the inf-sup eigenvalue did not converge."""
+    """The inf-sup Arnoldi eigensolve did not converge or failed its residual check."""

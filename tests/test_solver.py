@@ -487,7 +487,7 @@ def test_uzawa_factors_the_half_size_scalar_block(pair, splu_shapes):
     assert splu_shapes == [(half, half)]
 
 
-def test_infsup_lobpcg_factors_the_half_size_scalar_block(splu_shapes):
+def test_infsup_iterative_factors_the_half_size_scalar_block(splu_shapes):
     mesh = build_structured_mesh(8)
     A_II, _, M, _ = analysis._reduced_infsup_blocks(mesh, PairId.NCP1_P0)
     half = A_II.shape[0] // 2
