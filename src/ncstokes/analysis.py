@@ -32,7 +32,7 @@ from .femspace import (
     quadrature,
     quadrature_points,
 )
-from .solver import _component_factor, _factorize
+from .solver import _component_factor, _factorize, _pressure_inverse
 
 
 @dataclass
@@ -191,23 +191,25 @@ def _infsup_arnoldi(A_II, B_I, M, c, max_iterations, seed):
 
     ARPACK (``eigs``, ``which="SR"``) runs on ``q -> M^-1 (S q + c (c.q) / c.1)``,
     S = B_I A_II^-1 B_I' applied through the factor of the scalar block of
-    ``A_II``, the two velocity components as two columns (``_component_factor``).
+    ``A_II``, the two velocity components as two columns (``_component_factor``),
+    and M^-1 by ``_pressure_inverse`` (a division for the diagonal P0 mass).
     The rank-one term moves the constant pressure, the pencil's spurious zero
     mode, to eigenvalue 1, above every beta^2, and keeps the rest of the
     spectrum. ``max_iterations`` caps the restarts (None: ARPACK's 10 per
     pressure unknown). The Ritz pair is accepted on its own residual.
     """
     _, _, solve_a = _component_factor(A_II, NotPositiveDefiniteError)
-    lu_m, _ = _factorize(M, NotPositiveDefiniteError)
+    solve_m = _pressure_inverse(M, NotPositiveDefiniteError)
+    B_T = B_I.T  # one transpose: building it per product costs more than the product
     applications = 0
 
     def apply_schur(q):
-        return B_I @ solve_a(B_I.T @ q)
+        return B_I @ solve_a(B_T @ q)
 
     def apply_op(q):
         nonlocal applications
         applications += 1
-        return lu_m.solve(apply_schur(q) + c * (c @ q) / c.sum())
+        return solve_m(apply_schur(q) + c * (c @ q) / c.sum())
 
     op = spla.LinearOperator(M.shape, matvec=apply_op, dtype=np.float64)
     start = np.random.default_rng(seed).standard_normal(M.shape[0])

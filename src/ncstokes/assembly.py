@@ -185,14 +185,16 @@ class SaddleSystem:
 
     ``A`` is the viscosity-scaled stiffness, ``B`` the divergence coupling,
     ``G`` the optional pressure-pressure block (full stabilization, or the
-    vanishing kernel regularization recorded in ``regularization``), ``c``
-    the pressure-mean functional (c_q = integral of the q-th pressure basis
-    function), and ``rhs_u`` the body-force load.
+    vanishing kernel regularization recorded in ``regularization``), ``M``
+    the pressure mass, ``c`` the pressure-mean functional (c_q = integral of
+    the q-th pressure basis function, ``M @ 1``), and ``rhs_u`` the
+    body-force load.
     """
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     G: sp.csr_matrix | None
+    M: sp.csr_matrix
     c: np.ndarray
     rhs_u: np.ndarray
     vel_dofmap: object
@@ -245,7 +247,7 @@ def build_saddle_system(mesh, pair, problem, kernel_regularization=None):
     rhs_u = assemble_load(mesh, vel_dm, problem.f)
     bc = dirichlet_from_field(mesh, vel_dm, problem.g)
     system = SaddleSystem(
-        A=A, B=B, G=G, c=c, rhs_u=rhs_u, vel_dofmap=vel_dm, pres_dofmap=pres_dm,
+        A=A, B=B, G=G, M=mass, c=c, rhs_u=rhs_u, vel_dofmap=vel_dm, pres_dofmap=pres_dm,
         nu=problem.nu, regularization=regularization,
     )
     return system, bc
@@ -258,6 +260,8 @@ class ReducedSystem:
     Unknown ordering: interior velocity dofs, all pressure dofs, then the
     single mean-constraint multiplier. ``matrix`` is symmetric; the A block
     stays positive definite after the symmetric boundary elimination.
+    ``M`` and ``nu`` (the pressure mass and the viscosity of the
+    ``SaddleSystem``) are carried for Uzawa's preconditioner.
     """
 
     matrix: sp.csc_matrix
@@ -268,7 +272,9 @@ class ReducedSystem:
     A_II: sp.csr_matrix
     B_I: sp.csr_matrix
     G: sp.csr_matrix | None
+    M: sp.csr_matrix
     c: np.ndarray
+    nu: float
     vel_dofmap: object
     pres_dofmap: object
 
@@ -339,7 +345,9 @@ def apply_constraints(system, bc):
         A_II=A_II,
         B_I=B_I,
         G=system.G,
+        M=system.M,
         c=system.c,
+        nu=system.nu,
         vel_dofmap=vel_dm,
         pres_dofmap=system.pres_dofmap,
     )

@@ -23,6 +23,8 @@ from ncstokes.solver import (
     solve_spd,
 )
 
+DATA = Path(__file__).parent / "data"
+
 
 def zero_vec(x, y):
     return np.stack([np.zeros(np.broadcast(x, y).shape), np.zeros(np.broadcast(x, y).shape)])
@@ -184,9 +186,12 @@ def test_uzawa_matches_direct_on_nonsingular_pairs(pair):
     assert np.linalg.norm(direct.p.values - uzawa.p.values) <= 1e-7 * scale_p
 
 
-@pytest.mark.parametrize("pair, n", [(PairId.NCP1_P1, 6), (PairId.NCP1_P1_STAB, 15)])
+@pytest.mark.parametrize(
+    "pair, n", [(PairId.NCP1_P1, 6), (PairId.NCP1_P1_STAB, 12), (PairId.NCP1_P1_STAB, 15)]
+)
 def test_uzawa_corrects_to_the_full_system_residual(pair, n):
-    # sizes where a single Schur CG solve ends just above tol * ||rhs||
+    # with the mass preconditioner, a single Schur CG solve of ncp1-p1-stab at n = 12 ends
+    # just above tol * ||rhs||, so the correction path runs
     mesh, system, reduced = reduced_system(n, pair, mms_problem(nu=0.01))
     direct = solve_saddle(reduced, method="direct")
     uzawa = solve_saddle(reduced, method="uzawa")
@@ -244,6 +249,74 @@ def test_projected_cg_failure_names_residual_tolerance_and_iterations(rng):
         match=r"CG residual \S+ \(relative\) above tolerance 1\.0e-12 after 1 iterations",
     ):
         _projected_cg(lambda v: L @ v, rng.standard_normal(len(L)), tol=1e-12, maxiter=1)
+
+
+def test_projected_cg_preconditioned_solves_singular_laplacian(rng):
+    # an SPD, non-diagonal preconditioner that does not map the constants to constants
+    L = weighted_graph_laplacian(rng)
+    R = rng.standard_normal(L.shape)
+    Q = R @ R.T + np.eye(len(L))
+    b = rng.standard_normal(len(L))
+    x = _projected_cg(lambda v: L @ v, b, tol=1e-12, maxiter=100,
+                      precondition=lambda r: Q @ r)
+    b_free = b - b.mean()
+    assert np.linalg.norm(b_free - L @ x) <= 1e-12 * np.linalg.norm(b_free)
+    expected = np.linalg.pinv(L) @ b
+    assert abs(x.mean()) <= 1e-14 * np.linalg.norm(x)
+    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_projected_cg_preconditioned_failure_names_residual_tolerance_and_iterations(rng):
+    L = weighted_graph_laplacian(rng)
+    weights = rng.uniform(0.5, 2.0, len(L))
+    with pytest.raises(
+        IterationDivergenceError,
+        match=r"^CG residual \S+ \(relative\) above tolerance 1\.0e-12 after 2 iterations$",
+    ):
+        _projected_cg(lambda v: L @ v, rng.standard_normal(len(L)), tol=1e-12, maxiter=2,
+                      precondition=lambda r: r / weights)
+
+
+def test_pressure_inverse_divides_a_diagonal_mass_bit_for_bit(rng):
+    mesh = build_structured_mesh(8)
+    _, _, M, _ = analysis._reduced_infsup_blocks(mesh, PairId.NCP1_P0)
+    b = rng.standard_normal(M.shape[0])
+    lu, _ = solver._factorize(M, NotPositiveDefiniteError)
+    np.testing.assert_array_equal(solver._pressure_inverse(M, NotPositiveDefiniteError)(b),
+                                  lu.solve(b))
+
+
+def schur_applications(reduced, monkeypatch):
+    """Schur operator applications of one Uzawa solve, over all its CG runs."""
+    count = 0
+    projected_cg = solver._projected_cg
+
+    def counting_cg(apply_op, b, **kwargs):
+        def counted(q):
+            nonlocal count
+            count += 1
+            return apply_op(q)
+
+        return projected_cg(counted, b, **kwargs)
+
+    monkeypatch.setattr(solver, "_projected_cg", counting_cg)
+    solve_saddle(reduced, method="uzawa")
+    return count
+
+
+@pytest.mark.parametrize("mesh_source, pair, bound", [
+    ("n24", PairId.NCP1_P1, 80),
+    ("jittered_flipped_n6.mesh", PairId.NCP1_P0, 26),
+])
+def test_uzawa_mass_preconditioner_bounds_the_schur_applications(mesh_source, pair, bound,
+                                                                  monkeypatch):
+    mesh = (read_mesh(DATA / mesh_source) if mesh_source.endswith(".mesh")
+            else build_structured_mesh(int(mesh_source[1:])))
+    reduced = reduced_on(mesh, pair)
+    assert schur_applications(reduced, monkeypatch) <= bound
+    # the bound is one the unpreconditioned CG does not meet
+    monkeypatch.setattr(solver, "_pressure_inverse", lambda P, error: lambda r: r)
+    assert schur_applications(reduced, monkeypatch) > bound
 
 
 def test_unknown_method_rejected():
@@ -402,9 +475,6 @@ def test_kernel_regularization_keeps_incompressibility(n):
         assert divergence_residual(system, solve_saddle(reduced, method=method)) <= 1e-9
 
 
-DATA = Path(__file__).parent / "data"
-
-
 def reduced_on(mesh, pair):
     system, bc = build_saddle_system(mesh, pair, mms_problem(nu=0.01))
     return apply_constraints(system, bc)
@@ -484,15 +554,19 @@ def test_uzawa_factors_the_half_size_scalar_block(pair, splu_shapes):
     _, _, reduced = reduced_system(6, pair, mms_problem(nu=0.01))
     half = reduced.n_interior // 2
     solve_saddle(reduced, method="uzawa")
-    assert splu_shapes == [(half, half)]
+    # the preconditioner of a P1 pressure is one factor of pressure size; P0 divides
+    n_p = reduced.n_pressure
+    pressure = [] if pair is PairId.NCP1_P0 else [(n_p, n_p)]
+    assert splu_shapes == [(half, half)] + pressure
 
 
 def test_infsup_iterative_factors_the_half_size_scalar_block(splu_shapes):
     mesh = build_structured_mesh(8)
-    A_II, _, M, _ = analysis._reduced_infsup_blocks(mesh, PairId.NCP1_P0)
+    A_II, *_ = analysis._reduced_infsup_blocks(mesh, PairId.NCP1_P0)
     half = A_II.shape[0] // 2
     analysis.estimate_infsup(mesh, PairId.NCP1_P0, method="iterative")
-    assert splu_shapes == [(half, half), M.shape]
+    # the diagonal P0 mass is inverted by division, without a factor
+    assert splu_shapes == [(half, half)]
     # the dense oracle stays on the vector factor, as an independent check
     splu_shapes.clear()
     analysis.estimate_infsup(mesh, PairId.NCP1_P0, method="dense")
