@@ -213,35 +213,30 @@ class SaddleSystem:
 KERNEL_REGULARIZATION = 1e-8
 
 
-def build_saddle_system(mesh, pair, problem, kernel_regularization=None):
+def build_saddle_system(mesh, pair, problem, kernel_regularization=KERNEL_REGULARIZATION):
     """Assemble all blocks of ``pair`` for ``problem`` on ``mesh``.
 
     Returns the system together with the Dirichlet data derived from the
-    problem's boundary field. ``kernel_regularization`` (default: automatic)
-    scales the pressure-projection form added for the unstabilized
-    continuous-pressure pair to filter spurious pressure modes; pass 0 to
-    assemble the raw singular system.
+    problem's boundary field. ``kernel_regularization`` (default
+    ``KERNEL_REGULARIZATION``) scales, divided by the viscosity, the
+    pressure-projection form added for the unstabilized continuous-pressure
+    pair to filter spurious pressure modes; pass 0 to assemble the raw
+    singular system. The other pairs ignore it.
     """
     vel_dm = build_dofmap(mesh, pair.velocity_space)
     pres_dm = build_dofmap(mesh, pair.pressure_space)
     A = assemble_stiffness(mesh, vel_dm, nu=problem.nu)
     B = assemble_divergence(mesh, vel_dm, pres_dm)
     regularization = 0.0
+    G = None
     if pair.stabilized:
         G = assemble_stabilization(mesh, pres_dm)
-    elif pres_dm.space is SpaceKind.P1_SCALAR:
-        if kernel_regularization is None:
-            kernel_regularization = KERNEL_REGULARIZATION
-        if kernel_regularization != 0.0:
-            # dividing by the viscosity keeps the perturbation on the scale
-            # of the pressure Schur complement, so the selected pressure
-            # representative is invariant under viscosity scaling
-            regularization = float(kernel_regularization) / problem.nu
-            G = assemble_stabilization(mesh, pres_dm) * regularization
-        else:
-            G = None
-    else:
-        G = None
+    elif pres_dm.space is SpaceKind.P1_SCALAR and kernel_regularization != 0.0:
+        # dividing by the viscosity keeps the perturbation on the scale
+        # of the pressure Schur complement, so the selected pressure
+        # representative is invariant under viscosity scaling
+        regularization = float(kernel_regularization) / problem.nu
+        G = assemble_stabilization(mesh, pres_dm) * regularization
     mass = assemble_pressure_mass(mesh, pres_dm)
     c = np.asarray(mass @ np.ones(pres_dm.n_dofs))
     rhs_u = assemble_load(mesh, vel_dm, problem.f)

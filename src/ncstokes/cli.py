@@ -165,10 +165,11 @@ def _build_parser():
     parser = _Parser(prog="ncstokes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, solves=True):
         p.add_argument("--pair", default="ncp1-p1", help="discretization pair")
-        p.add_argument("--nu", type=float, default=1.0, help="viscosity (default 1)")
-        p.add_argument("--solver", choices=("direct", "uzawa"), default="direct")
+        if solves:
+            p.add_argument("--nu", type=float, default=1.0, help="viscosity (default 1)")
+            p.add_argument("--solver", choices=("direct", "uzawa"), default="direct")
         p.add_argument("--stab", choices=("on", "off"), default=None,
                        help="override the pair's stabilization")
 
@@ -188,7 +189,7 @@ def _build_parser():
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("infsup", help="discrete inf-sup constant sweep")
-    common(p)
+    common(p, solves=False)
     p.add_argument("--levels", required=True, help="comma-separated subdivisions")
     p.add_argument("--out", default="infsup.csv")
     p.set_defaults(func=cmd_infsup)

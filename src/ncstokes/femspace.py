@@ -22,21 +22,8 @@ class SpaceKind(Enum):
     P0_SCALAR = "p0_scalar"
 
     @property
-    def n_components(self):
-        return 2 if self in (SpaceKind.NCP1_VECTOR, SpaceKind.P1_VECTOR) else 1
-
-    @property
     def is_vector(self):
-        return self.n_components == 2
-
-    @property
-    def n_local_geometric(self):
-        """Geometric dofs per triangle (edges, vertices, or the cell)."""
-        return 1 if self is SpaceKind.P0_SCALAR else 3
-
-    @property
-    def n_local(self):
-        return self.n_local_geometric * self.n_components
+        return self in (SpaceKind.NCP1_VECTOR, SpaceKind.P1_VECTOR)
 
 
 @dataclass(frozen=True)

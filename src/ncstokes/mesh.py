@@ -217,10 +217,21 @@ def read_mesh(path):
     """Read a mesh from the text format.
 
     Raises MeshParseError (with the 1-based line number, comment and blank
-    lines counted) on malformed content; I/O failures propagate as OSError.
+    lines counted) on malformed content, a non-ASCII byte anywhere (comments
+    too) included; I/O failures propagate as OSError.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        bodies = [line.split("#", 1)[0].split() for line in fh]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            bodies = [line.split("#", 1)[0].split() for line in fh]
+    except UnicodeDecodeError:
+        # the same reader, with each undecodable byte escaped, finds its line
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                escaped = [ch for ch in line if ch >= "\udc80"]
+                if escaped:
+                    byte = ord(escaped[0]) - 0xDC00
+                    raise MeshParseError(f"byte {byte:#04x} is not ASCII", line=lineno) from None
+        raise
 
     linenos = [lineno for lineno, body in enumerate(bodies, start=1) if body]
     rows = [body for body in bodies if body]

@@ -173,8 +173,8 @@ class Factorization:
     policy taken and ``fill`` is ``(L.nnz + U.nnz) / matrix.nnz``.
     ``solve`` guarantees a relative residual of at most ``tol`` (absolute
     when the right-hand side vanishes), refining up to three times before
-    giving up. A factorization is read-only and may be shared across workers
-    for repeated right-hand sides.
+    raising ``error``. A factorization is read-only and may be shared across
+    workers for repeated right-hand sides.
     """
 
     def __init__(self, matrix, error=SingularSystemError, saddle=None):
@@ -198,9 +198,9 @@ class Factorization:
         x[self._order] = self._lu.solve(rhs[self._order])
         return x
 
-    def solve(self, rhs, tol=1e-10, max_refinements=3):
+    def solve(self, rhs, tol=1e-10):
         rhs = np.asarray(rhs, dtype=np.float64)
-        return _refine(self._matrix, rhs, self._lu_solve, tol, max_refinements, self._error,
+        return _refine(self._matrix, rhs, self._lu_solve, tol, 3, self._error,
                        f"refinements ({self._strategy})")
 
 
@@ -267,7 +267,9 @@ def _solve_uzawa(reduced, tol):
     ``P = M/nu (+G)`` (Cahouet-Chabard), to which S is spectrally
     equivalent on an inf-sup stable pair: a division for the diagonal P0
     mass, one SPD factor of pressure size otherwise (``_pressure_inverse``).
-    A full-system residual above ``tol`` is corrected, at most three times,
+    The Schur residual is the pressure rows' residual (the other rows are met
+    exactly), so the CG stops at the contract's own bound ``tol * ||rhs||``;
+    a full-system residual still above it is corrected, at most three times,
     by solving for the defect.
     """
     n_i = reduced.n_interior
@@ -277,6 +279,8 @@ def _solve_uzawa(reduced, tol):
     B_T = B_I.T  # one transpose: building it per product costs more than the product
     P = reduced.M / reduced.nu
     solve_p = _pressure_inverse(P if reduced.G is None else P + reduced.G, SingularSystemError)
+    scale = np.linalg.norm(reduced.rhs)
+    bound = tol * (scale if scale > 0 else 1.0)
 
     def apply_schur(q):
         y = B_I @ solve_a(B_T @ q)
@@ -286,7 +290,9 @@ def _solve_uzawa(reduced, tol):
         F = rhs[:n_i]
         b = -rhs[n_i : n_i + n_p] - B_I @ solve_a(F)
         multiplier = -b.sum() / c.sum()
-        p = _projected_cg(apply_schur, b + multiplier * c, tol=min(tol, 1e-11),
+        b = b + multiplier * c
+        norm_b = np.linalg.norm(b)
+        p = _projected_cg(apply_schur, b, tol=bound / norm_b if norm_b > 0 else 0.0,
                           maxiter=20 * n_p, precondition=solve_p)
         p = p + (rhs[-1] - c @ p) / c.sum()
         return np.concatenate([solve_a(F + B_T @ p), p, [multiplier]])
@@ -295,19 +301,17 @@ def _solve_uzawa(reduced, tol):
                    IterationDivergenceError, f"corrections (A_II: {strategy})")
 
 
-def _projected_cg(apply_op, b, tol, maxiter, precondition=None):
-    """CG for a positive semidefinite operator with constant kernel.
+def _projected_cg(apply_op, b, tol, maxiter, precondition):
+    """Preconditioned CG for a positive semidefinite operator with constant kernel.
 
-    ``precondition``, when given, maps a residual to the solve with an SPD
-    preconditioner; its result is made mean free, so the search directions
-    stay off the kernel. Residuals are kept mean free; stops at
-    ``||r|| <= tol * ||b||`` (the unpreconditioned residual) and raises
-    ``IterationDivergenceError`` after ``maxiter`` steps.
+    ``precondition`` maps a residual to the solve with an SPD preconditioner;
+    its result is made mean free, so the search directions stay off the
+    kernel. Residuals are kept mean free; stops at ``||r|| <= tol * ||b||``
+    (the unpreconditioned residual) and raises ``IterationDivergenceError``
+    after ``maxiter`` steps.
     """
 
     def preconditioned(r):
-        if precondition is None:
-            return r
         z = precondition(r)
         return z - z.mean()
 

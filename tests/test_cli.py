@@ -233,6 +233,11 @@ FAILURE_CONTRACT = {
                    "error: argument --solver: invalid choice: 'foo' "
                    "(choose from 'direct', 'uzawa')\n"),
     "unknown-flag": (["solve", "--bogus"], 3, "error: unrecognized arguments: --bogus\n"),
+    # the inf-sup sweep neither solves nor depends on the viscosity
+    "infsup-nu": (["infsup", "--nu", "1", "--levels", "2"], 3,
+                  "error: unrecognized arguments: --nu 1\n"),
+    "infsup-solver": (["infsup", "--solver", "uzawa", "--levels", "2"], 3,
+                      "error: unrecognized arguments: --solver uzawa\n"),
     "levels-empty": (["convergence", "--levels", ""], 3, _NO_LEVELS),
     "levels-blank": (["convergence", "--levels", " "], 3, _NO_LEVELS),
     "levels-not-int": (["convergence", "--levels", "a,b"], 3,
@@ -268,6 +273,8 @@ FAILURE_CONTRACT = {
                           "error: line 5: number does not fit in int64\n"),
     "infinite-coordinate": (["solve", "--mesh", "{tmp}/infinite.mesh"], 3,
                             "error: line 3: vertex coordinates must be finite\n"),
+    "non-ascii-mesh": (["solve", "--mesh", "{tmp}/accented.mesh"], 3,
+                       "error: line 1: byte 0xc3 is not ASCII\n"),
     "uzawa-failure": (["solve", "--problem", "mms1", "--pair", "ncp1-p0", "--solver", "uzawa",
                        "--n", "4"], 2,
                       "numerical failure: residual 4.176e-01 above tolerance 1.507e-09 "
@@ -286,6 +293,8 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, case):
     (tmp_path / "bad.mesh").write_text("3 1\n0 0\n1 0\n0 x\n0 1 2\n")
     (tmp_path / "overflow.mesh").write_text("3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n")
     (tmp_path / "infinite.mesh").write_text("3 1\n0 0\n1e999 0\n0 1\n0 1 2\n")
+    (tmp_path / "accented.mesh").write_bytes("# maillage généré\n3 1\n0 0\n1 0\n0 1\n0 1 2\n"
+                                             .encode("utf-8"))
     args, code, stderr = FAILURE_CONTRACT[case]
     args = [a.format(tmp=tmp_path) for a in args]
     if args and "--out" not in args:

@@ -173,6 +173,8 @@ MALFORMED = [
     ("3 2\n0 0\n1 0\n0 1\n0 1 7\n0 1\n", "out of range", 5),
     ("3 2\n0 0\n1 0\n0 1\n0 1\n0 1 7\n", "i j k", 5),
     ("3 1\n0 0\ninf 0\n0 x\n0 1 2\n", "vertex coordinates must be finite", 3),
+    # a non-ASCII byte, even in a comment, is named on its line (universal newlines)
+    ("3 1\r\n0 0\r1 0\n0 1 # maillage généré\n0 1 2\n", "byte 0xc3 is not ASCII", 4),
 ]
 
 
@@ -182,7 +184,7 @@ MALFORMED = [
 )
 def test_read_rejects_malformed_files(tmp_path, content, match, line):
     path = tmp_path / "bad.mesh"
-    path.write_text(content)
+    path.write_bytes(content.encode("utf-8"))
     with pytest.raises(MeshParseError, match=match) as err:
         read_mesh(path)
     assert err.value.line == line

@@ -77,10 +77,18 @@ def test_factorization_reports_exactly_singular():
         Factorization(K)
 
 
-@pytest.mark.parametrize("pair", [PairId.NCP1_P0, PairId.NCP1_P1, PairId.P1_P1_STAB])
-def test_zero_body_force_gives_zero_solution(pair):
+ZERO_DATA_CASES = [(pair, method) for method in ("direct", "uzawa")
+                   for pair in (PairId.NCP1_P0, PairId.NCP1_P1, PairId.P1_P1_STAB)]
+
+
+# a direct case's id is the bare pair, as it was before the method became a parameter
+@pytest.mark.parametrize("pair, method", ZERO_DATA_CASES, ids=[
+    str(pair) if method == "direct" else f"{pair}-{method}" for pair, method in ZERO_DATA_CASES
+])
+def test_zero_body_force_gives_zero_solution(pair, method):
+    # a zero right-hand side must not divide by zero in either solver
     _, _, reduced = reduced_system(6, pair, zero_problem())
-    solution = solve_saddle(reduced)
+    solution = solve_saddle(reduced, method=method)
     assert np.abs(solution.u.values).max() <= 1e-12
     assert np.abs(solution.p.values).max() <= 1e-12
     assert abs(solution.multiplier) <= 1e-12
@@ -190,8 +198,9 @@ def test_uzawa_matches_direct_on_nonsingular_pairs(pair):
     "pair, n", [(PairId.NCP1_P1, 6), (PairId.NCP1_P1_STAB, 12), (PairId.NCP1_P1_STAB, 15)]
 )
 def test_uzawa_corrects_to_the_full_system_residual(pair, n):
-    # with the mass preconditioner, a single Schur CG solve of ncp1-p1-stab at n = 12 ends
-    # just above tol * ||rhs||, so the correction path runs
+    # the Schur CG stops at tol * ||rhs||, so one CG run meets the contract here; the
+    # correction path itself is exercised by
+    # test_uzawa_failure_names_residual_tolerance_and_corrections
     mesh, system, reduced = reduced_system(n, pair, mms_problem(nu=0.01))
     direct = solve_saddle(reduced, method="direct")
     uzawa = solve_saddle(reduced, method="uzawa")
@@ -236,7 +245,7 @@ def weighted_graph_laplacian(rng, n=12):
 def test_projected_cg_solves_singular_laplacian(rng):
     L = weighted_graph_laplacian(rng)
     b = rng.standard_normal(len(L))
-    x = _projected_cg(lambda v: L @ v, b, tol=1e-12, maxiter=100)
+    x = _projected_cg(lambda v: L @ v, b, tol=1e-12, maxiter=100, precondition=lambda r: r)
     expected = np.linalg.pinv(L) @ b
     assert abs(x.mean()) <= 1e-14 * np.linalg.norm(x)
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -248,7 +257,8 @@ def test_projected_cg_failure_names_residual_tolerance_and_iterations(rng):
         IterationDivergenceError,
         match=r"CG residual \S+ \(relative\) above tolerance 1\.0e-12 after 1 iterations",
     ):
-        _projected_cg(lambda v: L @ v, rng.standard_normal(len(L)), tol=1e-12, maxiter=1)
+        _projected_cg(lambda v: L @ v, rng.standard_normal(len(L)), tol=1e-12, maxiter=1,
+                      precondition=lambda r: r)
 
 
 def test_projected_cg_preconditioned_solves_singular_laplacian(rng):
@@ -302,6 +312,26 @@ def schur_applications(reduced, monkeypatch):
     monkeypatch.setattr(solver, "_projected_cg", counting_cg)
     solve_saddle(reduced, method="uzawa")
     return count
+
+
+def test_uzawa_stops_its_schur_cg_at_the_contract_bound(monkeypatch):
+    # ||b|| is about 11 x ||rhs|| here, so a CG stopped at tol relative to ||b|| would end
+    # above tol * ||rhs|| and need a second run
+    _, _, reduced = reduced_system(12, PairId.NCP1_P1_STAB, mms_problem(nu=0.01))
+    runs = 0
+    projected_cg = solver._projected_cg
+
+    def counting_cg(*args, **kwargs):
+        nonlocal runs
+        runs += 1
+        return projected_cg(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_projected_cg", counting_cg)
+    solution = solve_saddle(reduced, method="uzawa")
+    assert runs == 1
+    x = np.concatenate([solution.u.values[reduced.interior], solution.p.values,
+                        [solution.multiplier]])
+    assert np.linalg.norm(reduced.rhs - reduced.matrix @ x) <= 1e-10 * np.linalg.norm(reduced.rhs)
 
 
 @pytest.mark.parametrize("mesh_source, pair, bound", [
