@@ -165,7 +165,7 @@ def _reduced_infsup_blocks(mesh, pair):
     A = assemble_stiffness(mesh, vel_dm, nu=1.0)
     B = assemble_divergence(mesh, vel_dm, pres_dm)
     M = assemble_pressure_mass(mesh, pres_dm)
-    _, A_II, _, B_I, _ = restrict_to_interior(vel_dm, A, B)
+    _, A_II, B_I = restrict_to_interior(vel_dm, A, B)
     return A_II, B_I, M, np.asarray(M @ np.ones(pres_dm.n_dofs))
 
 
@@ -282,7 +282,7 @@ def consistency_error(mesh, problem):
     residual = -assemble_load(mesh, dm, problem.f)
     np.add.at(residual, dm.cell_dofs, local.reshape(mesh.n_triangles, 6))
 
-    interior, A_II, *_ = restrict_to_interior(dm, assemble_stiffness(mesh, dm, nu=1.0))
+    interior, A_II, _ = restrict_to_interior(dm, assemble_stiffness(mesh, dm, nu=1.0))
     _, _, solve_a = _component_factor(A_II, NotPositiveDefiniteError)
     r_i = residual[interior]
     return float(np.sqrt(max(r_i @ solve_a(r_i), 0.0)))

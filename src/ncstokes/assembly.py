@@ -38,6 +38,9 @@ def _check_areas(mesh):
 def _scatter(local, rows, cols, shape):
     """Sum (T, r, c) local blocks into a CSR matrix."""
     n_tri, r, c = local.shape
+    # scipy stores these indices as int32 when they fit; passing them so saves a copy
+    if max(shape) <= np.iinfo(np.int32).max:
+        rows, cols = rows.astype(np.int32), cols.astype(np.int32)
     rr = np.repeat(rows[:, :, None], c, axis=2)
     cc = np.repeat(cols[:, None, :], r, axis=1)
     mat = sp.coo_matrix(
@@ -154,9 +157,9 @@ def assemble_load(mesh, vel_dofmap, f):
     local = np.einsum("q,ctq,qj->tjc", rule.weights, fvals, vals) * mesh.areas[
         :, None, None
     ]
-    load = np.zeros(vel_dofmap.n_dofs)
-    np.add.at(load, vel_dofmap.cell_dofs, local.reshape(mesh.n_triangles, 6))
-    return load
+    # bincount adds in the same order as np.add.at, from zero, so the bits are the same
+    return np.bincount(vel_dofmap.cell_dofs.ravel(), weights=local.ravel(),
+                       minlength=vel_dofmap.n_dofs)
 
 
 @dataclass
@@ -176,7 +179,7 @@ def dirichlet_from_field(mesh, dofmap, g):
     sites = dof_sites(mesh, dofmap.space)[geometric]
     gvals = np.asarray(g(sites[:, 0], sites[:, 1]), dtype=np.float64)
     values = gvals[comp, np.arange(len(bdofs))]
-    return DirichletBC(values={int(d): float(v) for d, v in zip(bdofs, values)})
+    return DirichletBC(values=dict(zip(bdofs.tolist(), values.tolist())))
 
 
 @dataclass
@@ -188,7 +191,8 @@ class SaddleSystem:
     vanishing kernel regularization recorded in ``regularization``), ``M``
     the pressure mass, ``c`` the pressure-mean functional (c_q = integral of
     the q-th pressure basis function, ``M @ 1``), and ``rhs_u`` the
-    body-force load.
+    body-force load. ``A`` and ``G`` are symmetric bit for bit, as
+    ``apply_constraints`` requires.
     """
 
     A: sp.csr_matrix
@@ -253,8 +257,9 @@ class ReducedSystem:
     """Constrained saddle system ready for factorization.
 
     Unknown ordering: interior velocity dofs, all pressure dofs, then the
-    single mean-constraint multiplier. ``matrix`` is symmetric; the A block
-    stays positive definite after the symmetric boundary elimination.
+    single mean-constraint multiplier. ``matrix`` is symmetric bit for bit
+    (see ``apply_constraints``); the A block stays positive definite after
+    the symmetric boundary elimination.
     ``M`` and ``nu`` (the pressure mass and the viscosity of the
     ``SaddleSystem``) are carried for Uzawa's preconditioner.
     """
@@ -282,19 +287,71 @@ class ReducedSystem:
         return len(self.c)
 
 
+def _keep_columns(matrix, position, n_columns, row_starts, in_rows=True):
+    """The entries of the CSR ``matrix`` in its columns with ``position >= 0``,
+    renumbered to those positions, as a CSR block with ``n_columns`` columns.
+
+    The block's rows are the rows whose entries start at ``row_starts[:-1]``
+    (``row_starts[-1]`` ends the last of them); when these are not all rows,
+    ``in_rows`` masks out the entries of the others.
+    """
+    columns = position[matrix.indices]
+    kept = np.flatnonzero((columns >= 0) & in_rows)
+    return sp.csr_matrix(
+        (matrix.data[kept], columns[kept], np.searchsorted(kept, row_starts)),
+        shape=(len(row_starts) - 1, n_columns),
+    )
+
+
 def restrict_to_interior(dofmap, A, B=None):
     """Split velocity blocks between the unknowns and the Dirichlet dofs.
 
     The unknowns are the dofs of ``dofmap`` off the boundary, in increasing
-    order. Returns ``(interior, A_II, A_IB, B_I, B_B)`` as CSR blocks: ``A``
-    split by rows and columns, ``B`` by columns (None when not given).
+    order. Returns ``(interior, A_II, B_I)``: ``A`` restricted to them in rows
+    and columns and ``B`` (None when not given) in columns, as CSR blocks.
+    The blocks are cut from the CSR arrays by index arithmetic; every stored
+    entry, explicit zeros included, keeps its value and its place.
     """
-    boundary = dofmap.boundary_dofs
-    interior = np.setdiff1d(np.arange(dofmap.n_dofs), boundary)
-    A_I = A.tocsr()[interior]
-    B = None if B is None else B.tocsr()
-    B_I, B_B = (None, None) if B is None else (B[:, interior], B[:, boundary])
-    return interior, A_I[:, interior], A_I[:, boundary], B_I, B_B
+    A = A.tocsr()
+    position = np.zeros(dofmap.n_dofs, dtype=A.indices.dtype)
+    position[dofmap.boundary_dofs] = -1
+    interior = np.flatnonzero(position == 0)
+    position[interior] = np.arange(len(interior))
+    n_i = len(interior)
+    A_II = _keep_columns(A, position, n_i, A.indptr[np.append(interior, dofmap.n_dofs)],
+                         np.repeat(position >= 0, np.diff(A.indptr)))
+    if B is None:
+        return interior, A_II, None
+    B = B.tocsr()
+    return interior, A_II, _keep_columns(B, position, n_i, B.indptr)
+
+
+def _block_arrays(block_rows):
+    """CSR arrays of a matrix given as rows of blocks.
+
+    Each block is ``(indptr, indices, data)`` in CSR form with its column
+    offset already added; the blocks of one block row share its rows and are
+    placed left to right, so sorted blocks give sorted rows.
+    """
+    counts = [[np.diff(indptr) for indptr, _, _ in blocks] for blocks in block_rows]
+    indptr = np.zeros(sum(len(c[0]) for c in counts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([sum(c) for c in counts]), out=indptr[1:])
+    index_dtype = np.int32 if max(len(indptr), indptr[-1]) <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(indptr[-1], dtype=index_dtype)
+    data = np.empty(indptr[-1])
+    first = 0
+    for blocks, block_counts in zip(block_rows, counts):
+        n_rows = len(block_counts[0])
+        start = indptr[first : first + n_rows]
+        for (block_indptr, block_indices, block_data), count in zip(blocks, block_counts):
+            # an entry's place in its block, moved from the block's row start to the row's
+            target = np.repeat(start - block_indptr[:-1], count)
+            target += np.arange(len(block_data))
+            indices[target] = block_indices
+            data[target] = block_data
+            start = start + count
+        first += n_rows
+    return indptr.astype(index_dtype), indices, data
 
 
 def apply_constraints(system, bc):
@@ -303,34 +360,53 @@ def apply_constraints(system, bc):
     Known boundary values move to the right-hand side of both the momentum
     and the divergence rows; the zero-mean pressure condition is enforced by
     one Lagrange multiplier row/column, keeping the matrix symmetric.
+
+    The matrix ``[[A_II, -B_I', 0], [-B_I, -G, c], [0, c', 0]]`` is placed
+    entry by entry from the CSR arrays of the blocks, explicit zeros included,
+    without an intermediate sparse format. ``A`` and ``G`` are assembled
+    bitwise symmetric: an off-diagonal entry sums at most two element
+    contributions, since two dofs share at most two triangles. So the matrix
+    is bitwise symmetric, and its CSR arrays are its CSC arrays.
     """
     vel_dm = system.vel_dofmap
     boundary = vel_dm.boundary_dofs
-    given = np.array(sorted(bc.values), dtype=np.int64)
-    if given.shape != boundary.shape or (given != boundary).any():
+    given = np.fromiter(bc.values, dtype=np.int64, count=len(bc.values))
+    order = np.argsort(given)
+    if not np.array_equal(given[order], boundary):
         extra = set(bc.values) - set(boundary.tolist())
         missing = set(boundary.tolist()) - set(bc.values)
         raise InconsistentBCError(
             f"Dirichlet data must cover exactly the boundary dofs "
             f"(extra: {sorted(extra)[:5]}, missing: {sorted(missing)[:5]})"
         )
-    boundary_values = np.array([bc.values[int(d)] for d in boundary])
+    boundary_values = np.fromiter(bc.values.values(), dtype=np.float64, count=len(order))[order]
 
-    interior, A_II, A_IB, B_I, B_B = restrict_to_interior(vel_dm, system.A, system.B)
+    interior, A_II, B_I = restrict_to_interior(vel_dm, system.A, system.B)
+    n_i, n_p = len(interior), len(system.c)
+    # interior columns meet zeros and add exact zeros to each row's sum (A and B
+    # are finite), so these are A_IB @ g and B_B @ g to the bit
+    lifted = np.zeros(vel_dm.n_dofs)
+    lifted[boundary] = boundary_values
+    rhs = np.concatenate([system.rhs_u[interior] - (system.A @ lifted)[interior],
+                          system.B @ lifted, [0.0]])
 
-    rhs_u = system.rhs_u[interior] - A_IB @ boundary_values
-    rhs_p = B_B @ boundary_values
-    c_col = sp.csr_matrix(system.c.reshape(-1, 1))
-    G_block = None if system.G is None else -system.G
-    matrix = sp.bmat(
-        [
-            [A_II, -B_I.T, None],
-            [-B_I, G_block, c_col],
-            [None, c_col.T, None],
-        ],
-        format="csc",
-    )
-    rhs = np.concatenate([rhs_u, rhs_p, [0.0]])
+    B_T = B_I.tocsc()  # the CSC arrays of B_I are the CSR arrays of B_I'
+    constrained = np.flatnonzero(system.c)
+    c_indptr = np.concatenate([[0], np.cumsum(system.c != 0)])
+    c_values = system.c[constrained]
+    pressure_blocks = [(B_I.indptr, B_I.indices, -B_I.data)]
+    if system.G is not None:
+        G = system.G.tocsr()
+        pressure_blocks.append((G.indptr, n_i + G.indices, -G.data))
+    pressure_blocks.append((c_indptr, np.full(len(constrained), n_i + n_p), c_values))
+    indptr, indices, data = _block_arrays([
+        [(A_II.indptr, A_II.indices, A_II.data),
+         (B_T.indptr, n_i + B_T.indices, -B_T.data)],
+        pressure_blocks,
+        [(np.array([0, len(constrained)]), n_i + constrained, c_values)],
+    ])
+    size = n_i + n_p + 1
+    matrix = sp.csc_matrix((data, indices, indptr), shape=(size, size))
     return ReducedSystem(
         matrix=matrix,
         rhs=rhs,

@@ -14,6 +14,8 @@ from enum import Enum
 
 import numpy as np
 
+from .mesh import _REFERENCE_BARYCENTRIC_GRADIENTS
+
 
 class SpaceKind(Enum):
     NCP1_VECTOR = "ncp1_vector"
@@ -81,11 +83,10 @@ def quadrature(degree):
 
 def reference_gradients(space):
     """Constant gradients of the scalar basis on the reference triangle."""
-    grad_lambda = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     if space in (SpaceKind.P1_VECTOR, SpaceKind.P1_SCALAR):
-        return grad_lambda
+        return _REFERENCE_BARYCENTRIC_GRADIENTS.copy()
     if space is SpaceKind.NCP1_VECTOR:
-        return -2.0 * grad_lambda
+        return -2.0 * _REFERENCE_BARYCENTRIC_GRADIENTS
     return np.zeros((1, 2))
 
 
@@ -113,25 +114,27 @@ def eval_basis(space, point):
 
 def quadrature_points(mesh, rule):
     """Physical coordinates of ``rule``'s points on every triangle, shape (T, nq, 2)."""
-    return np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[mesh.triangles])
+    corners = mesh.vertices[mesh.triangles]
+    lam = rule.points
+    # the explicit three-term sum gives the bits of einsum("qk,tkd->tqd") at less cost
+    return (lam[:, 0, None] * corners[:, None, 0] + lam[:, 1, None] * corners[:, None, 1]
+            + lam[:, 2, None] * corners[:, None, 2])
 
 
 def physical_gradients(mesh, space):
     """Per-element physical gradients of the scalar basis, shape (T, nloc, 2).
 
-    Gradients are constant on each triangle for every supported space.
+    Gradients are constant on each triangle for every supported space: the
+    mesh's (read-only) barycentric gradients for the linear spaces, -2 times
+    them for the midpoint-continuous basis ``1 - 2*lambda_i``, zero for P0.
     """
-    tri = mesh.vertices[mesh.triangles]
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    inv_jt = np.empty((len(tri), 2, 2))
-    inv_jt[:, 0, 0] = e2[:, 1]
-    inv_jt[:, 0, 1] = -e1[:, 1]
-    inv_jt[:, 1, 0] = -e2[:, 0]
-    inv_jt[:, 1, 1] = e1[:, 0]
-    inv_jt /= det[:, None, None]
-    return np.einsum("tab,ib->tia", inv_jt, reference_gradients(space))
+    if space in (SpaceKind.P1_VECTOR, SpaceKind.P1_SCALAR):
+        return mesh.barycentric_gradients
+    if space is SpaceKind.NCP1_VECTOR:
+        # + 0.0 turns the -0.0 of a zero gradient into the +0.0 that a sum of
+        # products over the reference gradients gives
+        return -2.0 * mesh.barycentric_gradients + 0.0
+    return np.zeros((mesh.n_triangles, 1, 2))
 
 
 def dof_sites(mesh, space):

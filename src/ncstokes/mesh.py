@@ -61,7 +61,9 @@ class Mesh:
 
     Triangles are stored counterclockwise. Edges appear once per undirected
     vertex pair, ordered lexicographically by sorted endpoints; an edge is a
-    boundary edge iff it has exactly one adjacent triangle. All arrays are
+    boundary edge iff it has exactly one adjacent triangle.
+    ``barycentric_gradients`` (T, 3, 2) holds the constant gradients of each
+    triangle's barycentric coordinates, which every form reads. All arrays are
     write-protected after construction, so a mesh may be shared freely across
     workers.
     """
@@ -83,13 +85,18 @@ class Mesh:
 
         self.vertices = vertices
         self.triangles = triangles
-        areas = _signed_areas(vertices, triangles)
+        corners = vertices[triangles]
+        e1 = corners[:, 1] - corners[:, 0]
+        e2 = corners[:, 2] - corners[:, 0]
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        areas = 0.5 * det
         if triangles.size and areas.min() <= 0.0:
             bad = int(np.argmin(areas))
             raise ValueError(
                 f"triangle {bad} is not counterclockwise (signed area {areas[bad]:.3e})"
             )
         self.areas = areas
+        self.barycentric_gradients = _barycentric_gradients(e1, e2, det)
         self.edges, self.edge_tris, self.tri_edges = build_edge_table(vertices, triangles)
         self.boundary_edge_mask = self.edge_tris[:, 1] < 0
         self.edge_midpoints = 0.5 * (vertices[self.edges[:, 0]] + vertices[self.edges[:, 1]])
@@ -103,6 +110,7 @@ class Mesh:
             self.vertices,
             self.triangles,
             self.areas,
+            self.barycentric_gradients,
             self.edges,
             self.edge_tris,
             self.tri_edges,
@@ -145,11 +153,21 @@ class Mesh:
         )
 
 
-def _signed_areas(vertices, triangles):
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+# gradients of the three barycentric coordinates on the reference triangle
+_REFERENCE_BARYCENTRIC_GRADIENTS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+_REFERENCE_BARYCENTRIC_GRADIENTS.setflags(write=False)
+
+
+def _barycentric_gradients(e1, e2, det):
+    """Physical gradients of the barycentric coordinates, shape (T, 3, 2), from
+    the edge vectors ``e1 = p1 - p0``, ``e2 = p2 - p0`` and ``det = e1 x e2``."""
+    inv_jt = np.empty((len(det), 2, 2))
+    inv_jt[:, 0, 0] = e2[:, 1]
+    inv_jt[:, 0, 1] = -e1[:, 1]
+    inv_jt[:, 1, 0] = -e2[:, 0]
+    inv_jt[:, 1, 1] = e1[:, 0]
+    inv_jt /= det[:, None, None]
+    return np.einsum("tab,ib->tia", inv_jt, _REFERENCE_BARYCENTRIC_GRADIENTS)
 
 
 def build_structured_mesh(n):

@@ -173,12 +173,15 @@ class Factorization:
     policy taken and ``fill`` is ``(L.nnz + U.nnz) / matrix.nnz``.
     ``solve`` guarantees a relative residual of at most ``tol`` (absolute
     when the right-hand side vanishes), refining up to three times before
-    raising ``error``. A factorization is read-only and may be shared across
-    workers for repeated right-hand sides.
+    raising ``error``; the residual is a CSR product, and a reduced matrix,
+    being bitwise symmetric, serves as its own CSR form without a copy. A
+    factorization is read-only and may be shared across workers for repeated
+    right-hand sides.
     """
 
     def __init__(self, matrix, error=SingularSystemError, saddle=None):
-        self._matrix = sp.csr_matrix(matrix)
+        # the transpose of a symmetric CSC matrix is its CSR form on the same arrays
+        self._matrix = sp.csr_matrix(matrix) if saddle is None else sp.csc_matrix(matrix).T
         self._error = error
         self._order = None if saddle is None else _zero_p0_block_order(saddle, error)
         self._lu, self._strategy = _factorize(matrix, error, self._order)
@@ -311,11 +314,13 @@ def _projected_cg(apply_op, b, tol, maxiter, precondition):
     after ``maxiter`` steps.
     """
 
+    n = len(b)  # x.sum() / n gives the bits of x.mean() at less cost
+
     def preconditioned(r):
         z = precondition(r)
-        return z - z.mean()
+        return z - z.sum() / n
 
-    r = b - b.mean()
+    r = b - b.sum() / n
     x = np.zeros_like(r)
     scale = np.linalg.norm(r)
     if scale == 0.0:
@@ -325,11 +330,11 @@ def _projected_cg(apply_op, b, tol, maxiter, precondition):
     rz = r @ z
     for _ in range(maxiter):
         Ap = apply_op(p)
-        Ap = Ap - Ap.mean()
+        Ap = Ap - Ap.sum() / n
         alpha = rz / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
-        r -= r.mean()
+        r -= r.sum() / n
         residual = np.linalg.norm(r)
         if residual <= tol * scale:
             return x

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 
 from ncstokes.assembly import (
+    KERNEL_REGULARIZATION,
     apply_constraints,
     assemble_divergence,
     assemble_load,
@@ -14,10 +18,12 @@ from ncstokes.assembly import (
     dump_matrix,
 )
 from ncstokes.errors import DegenerateElementError, InconsistentBCError
-from ncstokes.femspace import SpaceKind, build_dofmap, interpolate, quadrature
-from ncstokes.mesh import Mesh, build_structured_mesh
+from ncstokes.femspace import SpaceKind, basis_values, build_dofmap, interpolate, quadrature
+from ncstokes.mesh import Mesh, build_structured_mesh, read_mesh
 from ncstokes.pairs import PairId
 from ncstokes.problems import cavity_problem, mms_problem
+
+DATA = Path(__file__).parent / "data"
 
 REFERENCE_CR_STIFFNESS = np.array([[4.0, -2.0, -2.0], [-2.0, 2.0, 0.0], [-2.0, 0.0, 2.0]])
 
@@ -261,3 +267,101 @@ def test_dump_matrix_round_trip(tmp_path, mesh_n2):
     for r, c, v in triplets:
         dense[r, c] += v
     np.testing.assert_array_equal(dense, M.toarray())
+
+
+def mesh_from(source):
+    """A structured mesh ``n<k>`` or a mesh file under ``tests/data``."""
+    if source.endswith(".mesh"):
+        return read_mesh(DATA / source)
+    return build_structured_mesh(int(source[1:]))
+
+
+def reference_reduced(system, bc):
+    """The construction ``apply_constraints`` replaced: the blocks split by fancy
+    indexing, the boundary blocks' products moved to the right-hand side, and the
+    bordered matrix stacked by ``sp.bmat``. Returns ``(matrix, A_II, B_I, rhs)``."""
+    boundary = system.vel_dofmap.boundary_dofs
+    interior = np.setdiff1d(np.arange(system.vel_dofmap.n_dofs), boundary)
+    A_I = system.A.tocsr()[interior]
+    A_II, A_IB = A_I[:, interior], A_I[:, boundary]
+    B = system.B.tocsr()
+    B_I, B_B = B[:, interior], B[:, boundary]
+    g = np.array([bc.values[int(d)] for d in boundary])
+    rhs = np.concatenate([system.rhs_u[interior] - A_IB @ g, B_B @ g, [0.0]])
+    c_col = sp.csr_matrix(system.c.reshape(-1, 1))
+    G_block = None if system.G is None else -system.G
+    matrix = sp.bmat(
+        [[A_II, -B_I.T, None], [-B_I, G_block, c_col], [None, c_col.T, None]], format="csc"
+    )
+    return matrix, A_II, B_I, rhs
+
+
+def assert_same_arrays(actual, expected):
+    """Same shape, index arrays and data bits: explicit zeros and their signs count."""
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.indptr, expected.indptr)
+    np.testing.assert_array_equal(actual.indices, expected.indices)
+    np.testing.assert_array_equal(actual.data.view(np.int64), expected.data.view(np.int64))
+
+
+REDUCED_CASES = pytest.mark.parametrize(
+    "mesh_source, pair, regularization, nu",
+    [
+        (source, pair, regularization, nu)
+        for source in ("n1", "n2", "n5", "n12", "jittered_flipped_n6.mesh")
+        for pair, regularization in [(p, KERNEL_REGULARIZATION) for p in PairId]
+        + [(PairId.NCP1_P1, 0.0)]
+        for nu in (1.0, 0.01)
+    ],
+)
+
+
+@REDUCED_CASES
+def test_reduced_system_matches_the_bmat_construction_bit_for_bit(mesh_source, pair,
+                                                                  regularization, nu):
+    mesh = mesh_from(mesh_source)
+    for problem in (mms_problem(nu), cavity_problem(nu)):
+        system, bc = build_saddle_system(mesh, pair, problem, kernel_regularization=regularization)
+        reduced = apply_constraints(system, bc)
+        matrix, A_II, B_I, rhs = reference_reduced(system, bc)
+        if reduced.n_interior:
+            # the stored zeros between the two velocity components must survive
+            assert np.count_nonzero(matrix.data == 0) > 0
+        assert reduced.matrix.format == "csc"
+        assert_same_arrays(reduced.matrix, matrix)
+        assert reduced.A_II.format == reduced.B_I.format == "csr"
+        assert_same_arrays(reduced.A_II, A_II)
+        assert_same_arrays(reduced.B_I, B_I)
+        np.testing.assert_array_equal(reduced.rhs.view(np.int64), rhs.view(np.int64))
+
+
+@REDUCED_CASES
+def test_reduced_matrix_csc_arrays_are_its_csr_arrays(mesh_source, pair, regularization, nu):
+    # Factorization reuses the CSC arrays as the CSR form of the residual check
+    system, bc = build_saddle_system(mesh_from(mesh_source), pair, mms_problem(nu),
+                                     kernel_regularization=regularization)
+    matrix = apply_constraints(system, bc).matrix
+    assert_same_arrays(matrix, matrix.tocsr())
+
+
+@pytest.mark.parametrize("space", [SpaceKind.NCP1_VECTOR, SpaceKind.P1_VECTOR])
+@pytest.mark.parametrize("mesh_source", ["n5", "jittered_flipped_n6.mesh"])
+def test_load_matches_the_add_at_accumulation_bit_for_bit(mesh_source, space):
+    mesh = mesh_from(mesh_source)
+    vdm = build_dofmap(mesh, space)
+
+    def f(x, y):
+        # the second component is -0.0 everywhere, so the load has zeros whose sign counts
+        return np.stack([np.sin(3.0 * x) * np.cos(2.0 * y), np.full(np.shape(x), -0.0)])
+
+    rule = quadrature(6)
+    points = np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[mesh.triangles])
+    fvals = f(points[:, :, 0], points[:, :, 1])
+    local = np.einsum(
+        "q,ctq,qj->tjc", rule.weights, fvals, basis_values(space, rule.points)
+    ) * mesh.areas[:, None, None]
+    expected = np.zeros(vdm.n_dofs)
+    np.add.at(expected, vdm.cell_dofs, local.reshape(mesh.n_triangles, 6))
+    load = assemble_load(mesh, vdm, f)
+    assert np.count_nonzero(expected == 0) > 0
+    np.testing.assert_array_equal(load.view(np.int64), expected.view(np.int64))

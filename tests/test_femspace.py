@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy
@@ -11,8 +13,9 @@ from ncstokes.femspace import (
     interpolate,
     physical_gradients,
     quadrature,
+    quadrature_points,
 )
-from ncstokes.mesh import Mesh, build_structured_mesh
+from ncstokes.mesh import Mesh, build_structured_mesh, read_mesh
 from ncstokes.problems import mms_problem
 
 
@@ -207,3 +210,51 @@ def test_field_coefficients_length_checked(mesh_n2):
     dm = build_dofmap(mesh_n2, SpaceKind.P1_SCALAR)
     with pytest.raises(ValueError):
         FieldCoefficients(dofmap=dm, values=np.zeros(dm.n_dofs + 1))
+
+
+GEOMETRY_MESHES = pytest.mark.parametrize("mesh", [
+    pytest.param(build_structured_mesh(5), id="n5"),  # axis-aligned edges: zero gradients
+    pytest.param(read_mesh(Path(__file__).parent / "data" / "jittered_flipped_n6.mesh"),
+                 id="jittered"),
+])
+
+GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@GEOMETRY_MESHES
+@pytest.mark.parametrize("space, reference", [
+    (SpaceKind.P1_SCALAR, GRAD_LAMBDA),
+    (SpaceKind.P1_VECTOR, GRAD_LAMBDA),
+    (SpaceKind.NCP1_VECTOR, -2.0 * GRAD_LAMBDA),
+    (SpaceKind.P0_SCALAR, np.zeros((1, 2))),
+])
+def test_physical_gradients_match_the_per_form_contraction_bit_for_bit(mesh, space, reference):
+    # the computation each form ran before the mesh held its barycentric gradients
+    tri = mesh.vertices[mesh.triangles]
+    e1 = tri[:, 1] - tri[:, 0]
+    e2 = tri[:, 2] - tri[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    inv_jt = np.stack([np.stack([e2[:, 1], -e1[:, 1]], -1),
+                       np.stack([-e2[:, 0], e1[:, 0]], -1)], 1) / det[:, None, None]
+    expected = np.einsum("tab,ib->tia", inv_jt, reference)
+    grads = physical_gradients(mesh, space)
+    assert grads.shape == expected.shape
+    np.testing.assert_array_equal(grads.view(np.int64), expected.view(np.int64))
+
+
+@GEOMETRY_MESHES
+def test_barycentric_gradients_are_read_only(mesh):
+    with pytest.raises(ValueError):
+        mesh.barycentric_gradients[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        physical_gradients(mesh, SpaceKind.P1_SCALAR)[0, 0, 0] = 1.0
+
+
+@GEOMETRY_MESHES
+@pytest.mark.parametrize("degree", [1, 2, 6])
+def test_quadrature_points_match_the_einsum_bit_for_bit(mesh, degree):
+    rule = quadrature(degree)
+    expected = np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[mesh.triangles])
+    points = quadrature_points(mesh, rule)
+    assert points.shape == expected.shape
+    np.testing.assert_array_equal(points.view(np.int64), expected.view(np.int64))

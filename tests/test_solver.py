@@ -77,6 +77,30 @@ def test_factorization_reports_exactly_singular():
         Factorization(K)
 
 
+def test_factorization_without_saddle_solves_a_nonsymmetric_matrix(rng):
+    n = 30
+    matrix = (sp.random(n, n, density=0.2, random_state=np.random.default_rng(7), format="csc")
+              + sp.diags(np.full(n, 4.0))).tocsc()
+    assert abs(matrix - matrix.T).max() > 0.1
+    b = rng.standard_normal(n)
+    x = Factorization(matrix).solve(b)
+    assert np.linalg.norm(b - matrix @ x) <= 1e-10 * np.linalg.norm(b)
+    # a residual check that read the CSC arrays as CSR would test the transpose
+    assert np.linalg.norm(b - matrix.T @ x) > 1e-3 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("pair", list(PairId))
+def test_saddle_factorization_checks_residuals_on_the_reduced_arrays(pair):
+    _, _, reduced = reduced_system(6, pair, mms_problem(nu=0.01))
+    factorization = Factorization(reduced.matrix, saddle=reduced)
+    checked = factorization._matrix
+    assert checked.format == "csr"
+    for arrays in ("indptr", "indices", "data"):
+        assert np.shares_memory(getattr(checked, arrays), getattr(reduced.matrix, arrays))
+    x = factorization.solve(reduced.rhs)
+    assert np.linalg.norm(reduced.rhs - reduced.matrix @ x) <= 1e-10 * np.linalg.norm(reduced.rhs)
+
+
 ZERO_DATA_CASES = [(pair, method) for method in ("direct", "uzawa")
                    for pair in (PairId.NCP1_P0, PairId.NCP1_P1, PairId.P1_P1_STAB)]
 
