@@ -186,7 +186,7 @@ def _infsup_dense(A_II, B_I, M, c):
 _RESIDUAL_TOL = 1e-6
 
 
-def _infsup_arnoldi(A_II, B_I, M, c, max_iterations, seed):
+def _infsup_arnoldi(A_II, B_I, M, c, seed):
     """Smallest eigenvalue of the Schur pencil (S, M) by restarted Arnoldi.
 
     ARPACK (``eigs``, ``which="SR"``) runs on ``q -> M^-1 (S q + c (c.q) / c.1)``,
@@ -195,8 +195,7 @@ def _infsup_arnoldi(A_II, B_I, M, c, max_iterations, seed):
     and M^-1 by ``_pressure_inverse`` (a division for the diagonal P0 mass).
     The rank-one term moves the constant pressure, the pencil's spurious zero
     mode, to eigenvalue 1, above every beta^2, and keeps the rest of the
-    spectrum. ``max_iterations`` caps the restarts (None: ARPACK's 10 per
-    pressure unknown). The Ritz pair is accepted on its own residual.
+    spectrum. The Ritz pair is accepted on its own residual.
     """
     _, _, solve_a = _component_factor(A_II, NotPositiveDefiniteError)
     solve_m = _pressure_inverse(M, NotPositiveDefiniteError)
@@ -214,11 +213,11 @@ def _infsup_arnoldi(A_II, B_I, M, c, max_iterations, seed):
     op = spla.LinearOperator(M.shape, matvec=apply_op, dtype=np.float64)
     start = np.random.default_rng(seed).standard_normal(M.shape[0])
     try:
-        lams, vecs = spla.eigs(op, k=1, which="SR", v0=start, tol=0, maxiter=max_iterations)
+        lams, vecs = spla.eigs(op, k=1, which="SR", v0=start, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise EigenNonConvergenceError(
             f"Arnoldi did not converge to tolerance 0 (machine precision) after "
-            f"{max_iterations or 10 * M.shape[0]} restarts and {applications} operator applications"
+            f"{10 * M.shape[0]} restarts and {applications} operator applications"
         ) from exc
     lam, x = float(lams[0].real), vecs[:, 0].real
     Mx = M @ x
@@ -231,26 +230,25 @@ def _infsup_arnoldi(A_II, B_I, M, c, max_iterations, seed):
     return lam
 
 
-def estimate_infsup(mesh, pair, n=None, method="auto", max_iterations=None, seed=0):
+def estimate_infsup(mesh, pair, n=None, method="iterative", seed=0):
     """Estimate the discrete inf-sup constant of a velocity/pressure pair.
 
     The estimator always uses the unit-viscosity stiffness, so the result is
     independent of the problem's viscosity. ``method`` may be ``"dense"``
     (full generalized eigensolve on the mean-zero subspace, the reference
-    oracle), ``"iterative"`` (ARPACK's restarted Arnoldi on the Schur
-    pencil from a start vector drawn from ``seed``, ``max_iterations`` its
-    restart limit, None for ARPACK's ten per pressure unknown), or ``"auto"``,
-    the same as ``"iterative"``. Both use the dense solve below three
+    oracle) or ``"iterative"`` (the default: ARPACK's restarted Arnoldi on
+    the Schur pencil from a start vector drawn from ``seed``, at most ten
+    restarts per pressure unknown). Both use the dense solve below three
     pressure unknowns, where ARPACK has no room. A restart limit reached, or
     a Ritz pair failing its residual check, raises ``EigenNonConvergenceError``.
     """
-    if method not in ("auto", "dense", "iterative"):
+    if method not in ("dense", "iterative"):
         raise ValueError(f"unknown inf-sup method '{method}'")
     A_II, B_I, M, c = _reduced_infsup_blocks(mesh, pair)
     if method == "dense" or M.shape[0] < 3:
         lam = _infsup_dense(A_II, B_I, M, c)
     else:
-        lam = _infsup_arnoldi(A_II, B_I, M, c, max_iterations, seed)
+        lam = _infsup_arnoldi(A_II, B_I, M, c, seed)
     return InfSupEstimate(n=n, h=mesh.h, beta_h=float(np.sqrt(max(lam, 0.0))))
 
 

@@ -164,13 +164,14 @@ def assemble_load(mesh, vel_dofmap, f):
 
 @dataclass
 class DirichletBC:
-    """Prescribed values for exactly the boundary dofs of a velocity space."""
+    """Prescribed ``values`` at ``dofs``: the boundary dofs of a velocity space, any order."""
 
-    values: dict
+    dofs: np.ndarray
+    values: np.ndarray
 
 
 def dirichlet_from_field(mesh, dofmap, g):
-    """Evaluate boundary data ``g`` at the boundary dof sites of ``dofmap``."""
+    """Evaluate boundary data ``g`` at the (sorted) boundary dofs of ``dofmap``."""
     if not dofmap.space.is_vector:
         raise ValueError("Dirichlet data applies to the vector velocity space")
     bdofs = dofmap.boundary_dofs
@@ -179,7 +180,7 @@ def dirichlet_from_field(mesh, dofmap, g):
     sites = dof_sites(mesh, dofmap.space)[geometric]
     gvals = np.asarray(g(sites[:, 0], sites[:, 1]), dtype=np.float64)
     values = gvals[comp, np.arange(len(bdofs))]
-    return DirichletBC(values=dict(zip(bdofs.tolist(), values.tolist())))
+    return DirichletBC(dofs=bdofs, values=values)
 
 
 @dataclass
@@ -370,16 +371,18 @@ def apply_constraints(system, bc):
     """
     vel_dm = system.vel_dofmap
     boundary = vel_dm.boundary_dofs
-    given = np.fromiter(bc.values, dtype=np.int64, count=len(bc.values))
+    given = np.asarray(bc.dofs)
+    if len(bc.values) != len(given):
+        raise InconsistentBCError(f"{len(given)} Dirichlet dofs but {len(bc.values)} values")
     order = np.argsort(given)
     if not np.array_equal(given[order], boundary):
-        extra = set(bc.values) - set(boundary.tolist())
-        missing = set(boundary.tolist()) - set(bc.values)
+        given, counts = np.unique(given, return_counts=True)
+        extra, missing = np.setdiff1d(given, boundary), np.setdiff1d(boundary, given)
         raise InconsistentBCError(
-            f"Dirichlet data must cover exactly the boundary dofs "
-            f"(extra: {sorted(extra)[:5]}, missing: {sorted(missing)[:5]})"
+            f"Dirichlet data must cover exactly the boundary dofs (extra: {extra[:5].tolist()}, "
+            f"missing: {missing[:5].tolist()}, duplicated: {given[counts > 1][:5].tolist()})"
         )
-    boundary_values = np.fromiter(bc.values.values(), dtype=np.float64, count=len(order))[order]
+    boundary_values = np.asarray(bc.values, dtype=np.float64)[order]
 
     interior, A_II, B_I = restrict_to_interior(vel_dm, system.A, system.B)
     n_i, n_p = len(interior), len(system.c)

@@ -16,6 +16,10 @@ from .errors import MeshParseError, NonConformingMeshError
 def build_edge_table(vertices, triangles):
     """Build the undirected edge table of a conforming triangulation.
 
+    An edge shared by more than two triangles, or by two that run along it in
+    the same direction (so lie on the same side of it: a folded or a repeated
+    triangle), raises NonConformingMeshError.
+
     Parameters
     ----------
         vertices : (V, 2) array
@@ -34,7 +38,8 @@ def build_edge_table(vertices, triangles):
     triangles = np.asarray(triangles, dtype=np.int64)
     n_tri = triangles.shape[0]
     # local edge i sits opposite local vertex i
-    pairs = np.sort(triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
+    directed = triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+    pairs = np.sort(directed, axis=1)
     # one int64 key per pair sorts exactly as the pairs do lexicographically
     n_vert = len(vertices)
     keys, inverse = np.unique(pairs[:, 0] * n_vert + pairs[:, 1], return_inverse=True)
@@ -46,12 +51,21 @@ def build_edge_table(vertices, triangles):
             f"edge {tuple(edges[bad].tolist())} is shared by {counts[bad]} triangles"
         )
     order = np.argsort(inverse, kind="stable")
-    tri_of = order // 3
     starts = np.concatenate([[0], np.cumsum(counts)])
-    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-    edge_tris[:, 0] = tri_of[starts[:-1]]
     interior = counts == 2
-    edge_tris[interior, 1] = tri_of[starts[:-1][interior] + 1]
+    first, second = order[starts[:-1]], order[starts[:-1][interior] + 1]
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = first // 3
+    edge_tris[interior, 1] = second // 3
+    # triangles of one orientation on the two sides of an edge run along it both ways
+    ascending = directed[:, 0] < directed[:, 1]
+    same_side = np.flatnonzero(ascending[first[interior]] == ascending[second])
+    if len(same_side):
+        bad = np.flatnonzero(interior)[same_side[0]]
+        raise NonConformingMeshError(
+            f"edge {tuple(edges[bad].tolist())} has triangles {edge_tris[bad, 0]} and "
+            f"{edge_tris[bad, 1]} on the same side"
+        )
     tri_edges = inverse.reshape(n_tri, 3)
     return edges, edge_tris, tri_edges
 
@@ -104,7 +118,6 @@ class Mesh:
         lengths = np.linalg.norm(
             vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]], axis=1
         )
-        self.edge_lengths = lengths
         self.h = float(lengths.max()) if len(lengths) else 0.0
         for arr in (
             self.vertices,
@@ -117,7 +130,6 @@ class Mesh:
             self.boundary_edge_mask,
             self.edge_midpoints,
             self.centroids,
-            self.edge_lengths,
         ):
             arr.setflags(write=False)
 

@@ -89,7 +89,8 @@ def _component_factor(A_II, error):
     bound = 1e-12 * np.abs(K.data).max(initial=0.0)
     if not difference <= bound:
         raise mismatch(difference, "second component block", bound)
-    lu, strategy = _factorize(K, error)
+    # K is bitwise symmetric, like the A it is cut from: K.T is its CSC form on the same arrays
+    lu, strategy = _factorize(K.T, error)
 
     def solve(y):
         # the column count is spelled out: reshape cannot infer it when n_i == 0
@@ -145,20 +146,20 @@ def _zero_p0_block_order(reduced, error):
     return np.argsort(key, kind="stable")
 
 
-def _refine(matrix, rhs, solve, tol, max_passes, error, what):
-    """``solve(rhs)`` corrected by up to ``max_passes`` defect solves until the
-    residual is at most ``tol * ||rhs||`` (absolute when ``rhs`` vanishes)."""
+def _refine(matrix, rhs, solve, tol, error, what):
+    """``solve(rhs)`` corrected by up to three defect solves until the residual
+    is at most ``tol * ||rhs||`` (absolute when ``rhs`` vanishes)."""
     x = solve(rhs)
     scale = np.linalg.norm(rhs)
     bound = tol * (scale if scale > 0 else 1.0)
-    for passes in range(max_passes + 1):
+    for passes in range(4):
         defect = rhs - matrix @ x
         residual = np.linalg.norm(defect)
         if residual <= bound:
             return x
-        if passes < max_passes:
+        if passes < 3:
             x = x + solve(defect)
-    raise error(f"residual {residual:.3e} above tolerance {bound:.3e} after {max_passes} {what}")
+    raise error(f"residual {residual:.3e} above tolerance {bound:.3e} after 3 {what}")
 
 
 class Factorization:
@@ -203,17 +204,17 @@ class Factorization:
 
     def solve(self, rhs, tol=1e-10):
         rhs = np.asarray(rhs, dtype=np.float64)
-        return _refine(self._matrix, rhs, self._lu_solve, tol, 3, self._error,
+        return _refine(self._matrix, rhs, self._lu_solve, tol, self._error,
                        f"refinements ({self._strategy})")
 
 
-def solve_spd(A, b, tol=1e-12):
-    """Solve a symmetric positive definite system directly.
+def solve_spd(A, b):
+    """Solve a symmetric positive definite system directly, to relative residual 1e-12.
 
     Raises NotPositiveDefiniteError when the factorization breaks down or
     the solution fails the positivity probe b'x = x'Ax > 0.
     """
-    x = Factorization(A, error=NotPositiveDefiniteError).solve(b, tol=tol)
+    x = Factorization(A, error=NotPositiveDefiniteError).solve(b, tol=1e-12)
     if np.linalg.norm(b) > 0 and float(np.dot(b, x)) <= 0.0:
         raise NotPositiveDefiniteError("matrix is not positive definite (x'Ax <= 0)")
     return x
@@ -239,19 +240,19 @@ def _assemble_solution(reduced, x):
     return SolutionField(u=u, p=p, multiplier=float(x[-1]))
 
 
-def solve_saddle(reduced, method="direct", tol=1e-10):
+def solve_saddle(reduced, method="direct"):
     """Solve a constrained saddle system and re-inject the boundary values.
 
     ``method`` selects the sparse direct factorization of the augmented
     matrix (default) or the Schur-complement conjugate-gradient path
     (``"uzawa"``) kept for cross validation. Both meet the same residual
-    contract, ``||rhs - matrix @ x|| <= tol * ||rhs||``: the direct path by
+    contract, ``||rhs - matrix @ x|| <= 1e-10 * ||rhs||``: the direct path by
     iterative refinement, Uzawa by up to three defect corrections.
     """
     if method == "direct":
-        x = Factorization(reduced.matrix, saddle=reduced).solve(reduced.rhs, tol=tol)
+        x = Factorization(reduced.matrix, saddle=reduced).solve(reduced.rhs, tol=1e-10)
     elif method == "uzawa":
-        x = _solve_uzawa(reduced, tol=tol)
+        x = _solve_uzawa(reduced, tol=1e-10)
     else:
         raise ValueError(f"unknown solver method '{method}'")
     return _assemble_solution(reduced, x)
@@ -300,8 +301,8 @@ def _solve_uzawa(reduced, tol):
         p = p + (rhs[-1] - c @ p) / c.sum()
         return np.concatenate([solve_a(F + B_T @ p), p, [multiplier]])
 
-    return _refine(reduced.matrix, reduced.rhs, schur_solve, tol, 3,
-                   IterationDivergenceError, f"corrections (A_II: {strategy})")
+    return _refine(reduced.matrix, reduced.rhs, schur_solve, tol, IterationDivergenceError,
+                   f"corrections (A_II: {strategy})")
 
 
 def _projected_cg(apply_op, b, tol, maxiter, precondition):

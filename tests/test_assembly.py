@@ -207,14 +207,30 @@ def test_apply_constraints_lid_lifts_into_rhs(mesh_n4):
 
 def test_apply_constraints_rejects_inconsistent_bc(mesh_n4):
     system, bc = build_saddle_system(mesh_n4, PairId.NCP1_P0, mms_problem())
-    bad = dict(bc.values)
-    bad[int(next(iter(set(range(system.vel_dofmap.n_dofs)) - set(bc.values))))] = 0.0
-    with pytest.raises(InconsistentBCError):
-        apply_constraints(system, type(bc)(values=bad))
-    missing = dict(bc.values)
-    missing.pop(next(iter(missing)))
-    with pytest.raises(InconsistentBCError):
-        apply_constraints(system, type(bc)(values=missing))
+    extra_dof = int(np.setdiff1d(np.arange(system.vel_dofmap.n_dofs), bc.dofs)[0])
+    first, second = (int(d) for d in bc.dofs[:2])
+    cases = {
+        "extra": (np.append(bc.dofs, extra_dof), np.append(bc.values, 0.0),
+                  rf"extra: \[{extra_dof}\], missing: \[\], duplicated: \[\]"),
+        "missing": (bc.dofs[1:], bc.values[1:],
+                    rf"extra: \[\], missing: \[{first}\], duplicated: \[\]"),
+        "duplicated": (np.append(bc.dofs[1:], second), np.append(bc.values[1:], 0.0),
+                       rf"extra: \[\], missing: \[{first}\], duplicated: \[{second}\]"),
+        "values": (bc.dofs, bc.values[1:], rf"{len(bc.dofs)} Dirichlet dofs but "),
+    }
+    for dofs, values, message in cases.values():
+        with pytest.raises(InconsistentBCError, match=message):
+            apply_constraints(system, type(bc)(dofs=dofs, values=values))
+
+
+def test_apply_constraints_accepts_boundary_dofs_in_any_order(mesh_n4, rng):
+    system, bc = build_saddle_system(mesh_n4, PairId.NCP1_P1, cavity_problem())
+    shuffle = rng.permutation(len(bc.dofs))
+    expected = apply_constraints(system, bc)
+    shuffled = apply_constraints(system, type(bc)(dofs=bc.dofs[shuffle], values=bc.values[shuffle]))
+    assert_same_arrays(shuffled.matrix, expected.matrix)
+    np.testing.assert_array_equal(shuffled.rhs, expected.rhs)
+    np.testing.assert_array_equal(shuffled.boundary_values, expected.boundary_values)
 
 
 def test_reduced_stiffness_positive_definite(mesh_n4, rng):
@@ -241,10 +257,12 @@ def test_build_saddle_system_block_roles(mesh_n4):
 def test_dirichlet_sites_are_edge_midpoints(mesh_n4):
     vdm = build_dofmap(mesh_n4, SpaceKind.NCP1_VECTOR)
     bc = dirichlet_from_field(mesh_n4, vdm, lambda x, y: np.stack([x, 10.0 * y]))
+    np.testing.assert_array_equal(bc.dofs, vdm.boundary_dofs)
+    values = dict(zip(bc.dofs.tolist(), bc.values.tolist()))
     for e in mesh_n4.boundary_edges:
         mx, my = mesh_n4.edge_midpoints[e]
-        assert bc.values[2 * int(e)] == pytest.approx(mx, abs=1e-15)
-        assert bc.values[2 * int(e) + 1] == pytest.approx(10.0 * my, abs=1e-15)
+        assert values[2 * int(e)] == pytest.approx(mx, abs=1e-15)
+        assert values[2 * int(e) + 1] == pytest.approx(10.0 * my, abs=1e-15)
 
 
 def test_dump_matrix_round_trip(tmp_path, mesh_n2):
@@ -286,7 +304,8 @@ def reference_reduced(system, bc):
     A_II, A_IB = A_I[:, interior], A_I[:, boundary]
     B = system.B.tocsr()
     B_I, B_B = B[:, interior], B[:, boundary]
-    g = np.array([bc.values[int(d)] for d in boundary])
+    values = dict(zip(bc.dofs.tolist(), bc.values.tolist()))
+    g = np.array([values[int(d)] for d in boundary])
     rhs = np.concatenate([system.rhs_u[interior] - A_IB @ g, B_B @ g, [0.0]])
     c_col = sp.csr_matrix(system.c.reshape(-1, 1))
     G_block = None if system.G is None else -system.G

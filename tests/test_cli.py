@@ -275,6 +275,10 @@ FAILURE_CONTRACT = {
                             "error: line 3: vertex coordinates must be finite\n"),
     "non-ascii-mesh": (["solve", "--mesh", "{tmp}/accented.mesh"], 3,
                        "error: line 1: byte 0xc3 is not ASCII\n"),
+    "folded-mesh": (["solve", "--mesh", "{tmp}/folded.mesh"], 3,
+                    "error: edge (0, 1) has triangles 0 and 1 on the same side\n"),
+    "doubled-triangle": (["solve", "--mesh", "{tmp}/doubled.mesh"], 3,
+                         "error: edge (0, 1) has triangles 0 and 1 on the same side\n"),
     "uzawa-failure": (["solve", "--problem", "mms1", "--pair", "ncp1-p0", "--solver", "uzawa",
                        "--n", "4"], 2,
                       "numerical failure: residual 4.176e-01 above tolerance 1.507e-09 "
@@ -295,6 +299,8 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, case):
     (tmp_path / "infinite.mesh").write_text("3 1\n0 0\n1e999 0\n0 1\n0 1 2\n")
     (tmp_path / "accented.mesh").write_bytes("# maillage généré\n3 1\n0 0\n1 0\n0 1\n0 1 2\n"
                                              .encode("utf-8"))
+    (tmp_path / "folded.mesh").write_text("4 2\n0 0\n1 0\n0 1\n0.2 0.3\n0 1 2\n0 1 3\n")
+    (tmp_path / "doubled.mesh").write_text("3 2\n0 0\n1 0\n0 1\n0 1 2\n0 1 2\n")
     args, code, stderr = FAILURE_CONTRACT[case]
     args = [a.format(tmp=tmp_path) for a in args]
     if args and "--out" not in args:

@@ -97,6 +97,17 @@ def test_repeated_triangle_is_nonconforming():
         build_edge_table(mesh.vertices, triangles)
 
 
+@pytest.mark.parametrize("vertices, triangles", [
+    # the fourth vertex lies inside the first triangle, on the same side of edge (0, 1)
+    ([[0, 0], [1, 0], [0, 1], [0.2, 0.3]], [[0, 1, 2], [0, 1, 3]]),
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 1, 2]]),
+], ids=["folded", "doubled"])
+def test_triangles_on_one_side_of_an_edge_are_nonconforming(vertices, triangles):
+    with pytest.raises(NonConformingMeshError) as err:
+        build_edge_table(np.array(vertices, dtype=float), triangles)
+    assert str(err.value) == "edge (0, 1) has triangles 0 and 1 on the same side"
+
+
 def test_nonconforming_edge_is_named_with_python_ints():
     with pytest.raises(NonConformingMeshError) as err:
         Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]] * 3)
