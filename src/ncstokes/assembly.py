@@ -218,15 +218,13 @@ class SaddleSystem:
 KERNEL_REGULARIZATION = 1e-8
 
 
-def build_saddle_system(mesh, pair, problem, kernel_regularization=KERNEL_REGULARIZATION):
+def build_saddle_system(mesh, pair, problem):
     """Assemble all blocks of ``pair`` for ``problem`` on ``mesh``.
 
     Returns the system together with the Dirichlet data derived from the
-    problem's boundary field. ``kernel_regularization`` (default
-    ``KERNEL_REGULARIZATION``) scales, divided by the viscosity, the
-    pressure-projection form added for the unstabilized continuous-pressure
-    pair to filter spurious pressure modes; pass 0 to assemble the raw
-    singular system. The other pairs ignore it.
+    problem's boundary field. ``ncp1-p1`` gets ``G``, the projection form
+    times ``KERNEL_REGULARIZATION / nu``; its raw singular system is
+    ``dataclasses.replace(system, G=None, regularization=0.0)``.
     """
     vel_dm = build_dofmap(mesh, pair.velocity_space)
     pres_dm = build_dofmap(mesh, pair.pressure_space)
@@ -236,11 +234,11 @@ def build_saddle_system(mesh, pair, problem, kernel_regularization=KERNEL_REGULA
     G = None
     if pair.stabilized:
         G = assemble_stabilization(mesh, pres_dm)
-    elif pres_dm.space is SpaceKind.P1_SCALAR and kernel_regularization != 0.0:
+    elif pres_dm.space is SpaceKind.P1_SCALAR:
         # dividing by the viscosity keeps the perturbation on the scale
         # of the pressure Schur complement, so the selected pressure
         # representative is invariant under viscosity scaling
-        regularization = float(kernel_regularization) / problem.nu
+        regularization = KERNEL_REGULARIZATION / problem.nu
         G = assemble_stabilization(mesh, pres_dm) * regularization
     mass = assemble_pressure_mass(mesh, pres_dm)
     c = np.asarray(mass @ np.ones(pres_dm.n_dofs))

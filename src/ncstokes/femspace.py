@@ -178,7 +178,18 @@ def _vector_dofs(geometric_ids):
 
 
 def build_dofmap(mesh, space):
-    """Build the dof map of ``space`` on ``mesh``."""
+    """Build the dof map of ``space`` on ``mesh``.
+
+    Raises ``ValueError`` for a mesh without triangles, and for a linear space
+    on a mesh with a vertex in no triangle (its dof would have no basis
+    function).
+    """
+    if mesh.n_triangles == 0:
+        raise ValueError("mesh has no triangles")
+    if space in (SpaceKind.P1_VECTOR, SpaceKind.P1_SCALAR):
+        uses = np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices)
+        if not uses.all():
+            raise ValueError(f"vertex {np.argmin(uses)} is in no triangle")
     if space is SpaceKind.NCP1_VECTOR:
         return DofMap(
             space=space,

@@ -22,7 +22,8 @@ _PI = np.pi
 
 @dataclass
 class ProblemSpec:
-    """A Stokes problem: viscosity (finite, positive), body force, boundary data, exact fields."""
+    """A Stokes problem: viscosity (finite, positive), body force, boundary data, and
+    exact fields (all three or none)."""
 
     name: str
     nu: float
@@ -37,6 +38,10 @@ class ProblemSpec:
             raise ValueError(f"viscosity must be finite, got {self.nu}")
         if self.nu <= 0:
             raise ValueError("viscosity must be positive")
+        missing = [name for name in ("exact_u", "exact_grad_u", "exact_p")
+                   if getattr(self, name) is None]
+        if 0 < len(missing) < 3:
+            raise ValueError(f"exact solution is incomplete: missing {', '.join(missing)}")
 
     @property
     def has_exact_solution(self):

@@ -263,7 +263,8 @@ def _solve_uzawa(reduced, tol):
 
     The operator S = B A^-1 B' (+G) has the constant pressure in its kernel,
     so the mean-constraint multiplier is the one that makes the Schur
-    right-hand side sum to zero, residuals are kept mean free, and the final
+    right-hand side sum to zero. CG solves the inf-sup estimator's SPD
+    ``S + c c'/c.1`` for it, which gives ``c'p = 0``, and the final
     pressure is shifted to meet the constraint row ``c'p``. Every ``A^-1``
     is one solve with the factor of the scalar block of ``A_II``, the two
     velocity components as two columns (``_component_factor``). The CG is
@@ -287,7 +288,7 @@ def _solve_uzawa(reduced, tol):
     bound = tol * (scale if scale > 0 else 1.0)
 
     def apply_schur(q):
-        y = B_I @ solve_a(B_T @ q)
+        y = B_I @ solve_a(B_T @ q) + c * (c @ q) / c.sum()
         return y if reduced.G is None else y + reduced.G @ q
 
     def schur_solve(rhs):
@@ -296,8 +297,8 @@ def _solve_uzawa(reduced, tol):
         multiplier = -b.sum() / c.sum()
         b = b + multiplier * c
         norm_b = np.linalg.norm(b)
-        p = _projected_cg(apply_schur, b, tol=bound / norm_b if norm_b > 0 else 0.0,
-                          maxiter=20 * n_p, precondition=solve_p)
+        p = _cg(apply_schur, b, tol=bound / norm_b if norm_b > 0 else 0.0,
+                maxiter=20 * n_p, precondition=solve_p)
         p = p + (rhs[-1] - c @ p) / c.sum()
         return np.concatenate([solve_a(F + B_T @ p), p, [multiplier]])
 
@@ -305,41 +306,30 @@ def _solve_uzawa(reduced, tol):
                    f"corrections (A_II: {strategy})")
 
 
-def _projected_cg(apply_op, b, tol, maxiter, precondition):
-    """Preconditioned CG for a positive semidefinite operator with constant kernel.
+def _cg(apply_op, b, tol, maxiter, precondition):
+    """Preconditioned CG for an SPD operator.
 
-    ``precondition`` maps a residual to the solve with an SPD preconditioner;
-    its result is made mean free, so the search directions stay off the
-    kernel. Residuals are kept mean free; stops at ``||r|| <= tol * ||b||``
-    (the unpreconditioned residual) and raises ``IterationDivergenceError``
-    after ``maxiter`` steps.
+    ``precondition`` maps a residual to the solve with an SPD preconditioner.
+    Stops at ``||r|| <= tol * ||b||`` (the unpreconditioned residual) and
+    raises ``IterationDivergenceError`` after ``maxiter`` steps.
     """
-
-    n = len(b)  # x.sum() / n gives the bits of x.mean() at less cost
-
-    def preconditioned(r):
-        z = precondition(r)
-        return z - z.sum() / n
-
-    r = b - b.sum() / n
-    x = np.zeros_like(r)
-    scale = np.linalg.norm(r)
+    x = np.zeros_like(b)
+    scale = np.linalg.norm(b)
     if scale == 0.0:
         return x
-    z = preconditioned(r)
+    r = b.copy()
+    z = precondition(r)
     p = z.copy()
     rz = r @ z
     for _ in range(maxiter):
         Ap = apply_op(p)
-        Ap = Ap - Ap.sum() / n
         alpha = rz / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
-        r -= r.sum() / n
         residual = np.linalg.norm(r)
         if residual <= tol * scale:
             return x
-        z = preconditioned(r)
+        z = precondition(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -208,9 +208,7 @@ def test_solve_with_uzawa_flag(tmp_path):
 def test_numerical_failure_is_reported_with_its_residual(tmp_path, monkeypatch, capsys):
     import ncstokes.solver
 
-    monkeypatch.setattr(
-        ncstokes.solver, "_projected_cg", lambda apply_op, b, **kw: np.zeros_like(b)
-    )
+    monkeypatch.setattr(ncstokes.solver, "_cg", lambda apply_op, b, **kw: np.zeros_like(b))
     code = run_cli("solve", "--problem", "mms1", "--pair", "ncp1-p0", "--solver", "uzawa",
                    "--n", "4", "--out", str(tmp_path / "x.vtk"))
     assert code == 2
@@ -279,6 +277,10 @@ FAILURE_CONTRACT = {
                     "error: edge (0, 1) has triangles 0 and 1 on the same side\n"),
     "doubled-triangle": (["solve", "--mesh", "{tmp}/doubled.mesh"], 3,
                          "error: edge (0, 1) has triangles 0 and 1 on the same side\n"),
+    "unused-vertex": (["solve", "--mesh", "{tmp}/unused.mesh"], 3,
+                      "error: vertex 4 is in no triangle\n"),
+    "no-triangles": (["solve", "--mesh", "{tmp}/empty.mesh"], 3,
+                     "error: mesh has no triangles\n"),
     "uzawa-failure": (["solve", "--problem", "mms1", "--pair", "ncp1-p0", "--solver", "uzawa",
                        "--n", "4"], 2,
                       "numerical failure: residual 4.176e-01 above tolerance 1.507e-09 "
@@ -291,9 +293,7 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, case):
     import ncstokes.solver
 
     # Uzawa's inner solve returns zeros; only the uzawa row reaches it
-    monkeypatch.setattr(
-        ncstokes.solver, "_projected_cg", lambda apply_op, b, **kw: np.zeros_like(b)
-    )
+    monkeypatch.setattr(ncstokes.solver, "_cg", lambda apply_op, b, **kw: np.zeros_like(b))
     (tmp_path / "bad.mesh").write_text("3 1\n0 0\n1 0\n0 x\n0 1 2\n")
     (tmp_path / "overflow.mesh").write_text("3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n")
     (tmp_path / "infinite.mesh").write_text("3 1\n0 0\n1e999 0\n0 1\n0 1 2\n")
@@ -301,6 +301,8 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, case):
                                              .encode("utf-8"))
     (tmp_path / "folded.mesh").write_text("4 2\n0 0\n1 0\n0 1\n0.2 0.3\n0 1 2\n0 1 3\n")
     (tmp_path / "doubled.mesh").write_text("3 2\n0 0\n1 0\n0 1\n0 1 2\n0 1 2\n")
+    (tmp_path / "unused.mesh").write_text("5 2\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0 1 2\n0 2 3\n")
+    (tmp_path / "empty.mesh").write_text("3 0\n0 0\n1 0\n0 1\n")
     args, code, stderr = FAILURE_CONTRACT[case]
     args = [a.format(tmp=tmp_path) for a in args]
     if args and "--out" not in args:

@@ -64,6 +64,21 @@ def test_p0_dofmap_has_no_boundary():
     assert len(p0.boundary_dofs) == 0
 
 
+def test_dofmap_rejects_meshes_without_triangles_and_unused_vertices():
+    empty = Mesh(np.zeros((3, 2)), np.zeros((0, 3), dtype=np.int64))
+    square = build_structured_mesh(1)
+    # the centre of the square is in no triangle
+    extra = Mesh(np.vstack([square.vertices, [0.5, 0.5]]), square.triangles)
+    for space in SpaceKind:
+        with pytest.raises(ValueError, match=r"^mesh has no triangles$"):
+            build_dofmap(empty, space)
+        if space in (SpaceKind.P1_VECTOR, SpaceKind.P1_SCALAR):
+            with pytest.raises(ValueError, match=r"^vertex 4 is in no triangle$"):
+                build_dofmap(extra, space)
+        else:
+            assert build_dofmap(extra, space).n_dofs == build_dofmap(square, space).n_dofs
+
+
 def test_cell_dofs_cover_all_dofs(mesh_n4):
     for space in SpaceKind:
         dm = build_dofmap(mesh_n4, space)

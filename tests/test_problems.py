@@ -5,7 +5,7 @@ import sympy
 from ncstokes.assembly import dirichlet_from_field
 from ncstokes.femspace import SpaceKind, build_dofmap
 from ncstokes.mesh import build_structured_mesh
-from ncstokes.problems import cavity_problem, make_problem, mms_problem
+from ncstokes.problems import ProblemSpec, cavity_problem, make_problem, mms_problem
 
 
 def sympy_reference_fields(nu_value):
@@ -133,3 +133,19 @@ def test_invalid_viscosity_is_rejected(factory, nu, message):
     with pytest.raises(ValueError) as err:
         factory(nu=nu)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "given, missing",
+    [
+        (("exact_u",), "exact_grad_u, exact_p"),
+        (("exact_grad_u",), "exact_u, exact_p"),
+        (("exact_u", "exact_p"), "exact_grad_u"),
+    ],
+)
+def test_partial_exact_solution_is_rejected(given, missing):
+    mms = mms_problem()
+    fields = {name: getattr(mms, name) for name in given}
+    with pytest.raises(ValueError) as err:
+        ProblemSpec(name="partial", nu=1.0, f=mms.f, g=mms.g, **fields)
+    assert str(err.value) == f"exact solution is incomplete: missing {missing}"

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from ncstokes.pairs import PairId
 from ncstokes.problems import ProblemSpec, cavity_problem, mms_problem
 from ncstokes.solver import (
     Factorization,
-    _projected_cg,
+    _cg,
     divergence_residual,
     solve_saddle,
     solve_spd,
@@ -218,6 +219,22 @@ def test_uzawa_matches_direct_on_nonsingular_pairs(pair):
     assert np.linalg.norm(direct.p.values - uzawa.p.values) <= 1e-7 * scale_p
 
 
+@pytest.mark.parametrize("pair", list(PairId))
+def test_uzawa_meets_constraint_row_data(pair):
+    # every other test leaves the mean constraint's right-hand side at 0
+    _, _, reduced = reduced_system(8, pair, mms_problem())
+    rhs = reduced.rhs.copy()
+    rhs[-1] = 0.3
+    reduced = dataclasses.replace(reduced, rhs=rhs)
+    direct = solve_saddle(reduced, method="direct")
+    uzawa = solve_saddle(reduced, method="uzawa")
+    assert abs(reduced.c @ uzawa.p.values - 0.3) <= 1e-14
+    scale_u = np.linalg.norm(direct.u.values)
+    scale_p = max(1.0, np.linalg.norm(direct.p.values))
+    assert np.linalg.norm(direct.u.values - uzawa.u.values) <= 1e-8 * scale_u
+    assert np.linalg.norm(direct.p.values - uzawa.p.values) <= 1e-7 * scale_p
+
+
 @pytest.mark.parametrize(
     "pair, n", [(PairId.NCP1_P1, 6), (PairId.NCP1_P1_STAB, 12), (PairId.NCP1_P1_STAB, 15)]
 )
@@ -238,7 +255,7 @@ def test_uzawa_corrects_to_the_full_system_residual(pair, n):
 def test_uzawa_failure_names_residual_tolerance_and_corrections(monkeypatch):
     _, _, reduced = reduced_system(4, PairId.NCP1_P0, mms_problem())
     # a Schur solve that never moves the pressure cannot meet the contract
-    monkeypatch.setattr(solver, "_projected_cg", lambda apply_op, b, **kw: np.zeros_like(b))
+    monkeypatch.setattr(solver, "_cg", lambda apply_op, b, **kw: np.zeros_like(b))
     with pytest.raises(
         IterationDivergenceError,
         match=r"residual \S+ above tolerance \S+ after 3 corrections "
@@ -257,58 +274,61 @@ def test_refinement_failure_names_residual_tolerance_and_refinements():
         Factorization(hilbert).solve(np.ones(10), tol=1e-30)
 
 
-def weighted_graph_laplacian(rng, n=12):
-    """A connected weighted graph's Laplacian: symmetric, kernel the constants."""
+def shifted_laplacian(rng, n=12):
+    """``L + c c'/c.1`` for a connected weighted graph's Laplacian ``L`` (kernel the
+    constants) and a non-uniform positive ``c``: SPD, like Uzawa's Schur operator."""
     W = np.zeros((n, n))
     edges = [(i, (i + 1) % n) for i in range(n)] + [(0, 6), (3, 9), (2, 7)]
     for i, j in edges:
         W[i, j] = W[j, i] = rng.uniform(0.5, 2.0)
-    return np.diag(W.sum(axis=1)) - W
+    L = np.diag(W.sum(axis=1)) - W
+    c = rng.uniform(0.5, 2.0, n)
+    return L, c, L + np.outer(c, c) / c.sum()
 
 
-def test_projected_cg_solves_singular_laplacian(rng):
-    L = weighted_graph_laplacian(rng)
+def test_cg_solves_the_shifted_laplacian(rng):
+    L, c, op = shifted_laplacian(rng)
     b = rng.standard_normal(len(L))
-    x = _projected_cg(lambda v: L @ v, b, tol=1e-12, maxiter=100, precondition=lambda r: r)
-    expected = np.linalg.pinv(L) @ b
-    assert abs(x.mean()) <= 1e-14 * np.linalg.norm(x)
+    b -= b.mean()
+    x = _cg(lambda v: op @ v, b, tol=1e-12, maxiter=100, precondition=lambda r: r)
+    expected = np.linalg.solve(op, b)
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+    # on a right-hand side that sums to zero, the shift drops out: c'x = 0 and L x = b
+    assert abs(c @ x) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(x)
+    assert np.linalg.norm(b - L @ x) <= 1e-12 * np.linalg.norm(b)
 
 
-def test_projected_cg_failure_names_residual_tolerance_and_iterations(rng):
-    L = weighted_graph_laplacian(rng)
+def test_cg_failure_names_residual_tolerance_and_iterations(rng):
+    _, _, op = shifted_laplacian(rng)
     with pytest.raises(
         IterationDivergenceError,
         match=r"CG residual \S+ \(relative\) above tolerance 1\.0e-12 after 1 iterations",
     ):
-        _projected_cg(lambda v: L @ v, rng.standard_normal(len(L)), tol=1e-12, maxiter=1,
-                      precondition=lambda r: r)
+        _cg(lambda v: op @ v, rng.standard_normal(len(op)), tol=1e-12, maxiter=1,
+            precondition=lambda r: r)
 
 
-def test_projected_cg_preconditioned_solves_singular_laplacian(rng):
-    # an SPD, non-diagonal preconditioner that does not map the constants to constants
-    L = weighted_graph_laplacian(rng)
-    R = rng.standard_normal(L.shape)
-    Q = R @ R.T + np.eye(len(L))
-    b = rng.standard_normal(len(L))
-    x = _projected_cg(lambda v: L @ v, b, tol=1e-12, maxiter=100,
-                      precondition=lambda r: Q @ r)
-    b_free = b - b.mean()
-    assert np.linalg.norm(b_free - L @ x) <= 1e-12 * np.linalg.norm(b_free)
-    expected = np.linalg.pinv(L) @ b
-    assert abs(x.mean()) <= 1e-14 * np.linalg.norm(x)
+def test_cg_preconditioned_solves_the_shifted_laplacian(rng):
+    # an SPD, non-diagonal preconditioner
+    _, _, op = shifted_laplacian(rng)
+    R = rng.standard_normal(op.shape)
+    Q = R @ R.T + np.eye(len(op))
+    b = rng.standard_normal(len(op))
+    x = _cg(lambda v: op @ v, b, tol=1e-12, maxiter=100, precondition=lambda r: Q @ r)
+    assert np.linalg.norm(b - op @ x) <= 1e-12 * np.linalg.norm(b)
+    expected = np.linalg.solve(op, b)
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def test_projected_cg_preconditioned_failure_names_residual_tolerance_and_iterations(rng):
-    L = weighted_graph_laplacian(rng)
-    weights = rng.uniform(0.5, 2.0, len(L))
+def test_cg_preconditioned_failure_names_residual_tolerance_and_iterations(rng):
+    _, _, op = shifted_laplacian(rng)
+    weights = rng.uniform(0.5, 2.0, len(op))
     with pytest.raises(
         IterationDivergenceError,
         match=r"^CG residual \S+ \(relative\) above tolerance 1\.0e-12 after 2 iterations$",
     ):
-        _projected_cg(lambda v: L @ v, rng.standard_normal(len(L)), tol=1e-12, maxiter=2,
-                      precondition=lambda r: r / weights)
+        _cg(lambda v: op @ v, rng.standard_normal(len(op)), tol=1e-12, maxiter=2,
+            precondition=lambda r: r / weights)
 
 
 def test_pressure_inverse_divides_a_diagonal_mass_bit_for_bit(rng):
@@ -323,7 +343,7 @@ def test_pressure_inverse_divides_a_diagonal_mass_bit_for_bit(rng):
 def schur_applications(reduced, monkeypatch):
     """Schur operator applications of one Uzawa solve, over all its CG runs."""
     count = 0
-    projected_cg = solver._projected_cg
+    cg = solver._cg
 
     def counting_cg(apply_op, b, **kwargs):
         def counted(q):
@@ -331,9 +351,9 @@ def schur_applications(reduced, monkeypatch):
             count += 1
             return apply_op(q)
 
-        return projected_cg(counted, b, **kwargs)
+        return cg(counted, b, **kwargs)
 
-    monkeypatch.setattr(solver, "_projected_cg", counting_cg)
+    monkeypatch.setattr(solver, "_cg", counting_cg)
     solve_saddle(reduced, method="uzawa")
     return count
 
@@ -343,14 +363,14 @@ def test_uzawa_stops_its_schur_cg_at_the_contract_bound(monkeypatch):
     # above tol * ||rhs|| and need a second run
     _, _, reduced = reduced_system(12, PairId.NCP1_P1_STAB, mms_problem(nu=0.01))
     runs = 0
-    projected_cg = solver._projected_cg
+    cg = solver._cg
 
     def counting_cg(*args, **kwargs):
         nonlocal runs
         runs += 1
-        return projected_cg(*args, **kwargs)
+        return cg(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_projected_cg", counting_cg)
+    monkeypatch.setattr(solver, "_cg", counting_cg)
     solution = solve_saddle(reduced, method="uzawa")
     assert runs == 1
     x = np.concatenate([solution.u.values[reduced.interior], solution.p.values,
@@ -497,8 +517,9 @@ def test_explicit_zeros_keep_ncp1_p0_fill_low():
 
 def test_raw_ncp1_p1_keeps_threshold_pivoting():
     mesh = build_structured_mesh(8)
-    system, bc = build_saddle_system(mesh, PairId.NCP1_P1, mms_problem(), kernel_regularization=0.0)
-    _, strategy = solver._factorize(apply_constraints(system, bc).matrix, SingularSystemError)
+    system, bc = build_saddle_system(mesh, PairId.NCP1_P1, mms_problem())
+    raw = dataclasses.replace(system, G=None, regularization=0.0)
+    _, strategy = solver._factorize(apply_constraints(raw, bc).matrix, SingularSystemError)
     assert strategy == "COLAMD, threshold pivots"
 
 
