@@ -28,7 +28,6 @@ from .assembly import (
     assemble_stiffness,
     build_saddle_system,
     dirichlet_from_field,
-    dump_matrix,
 )
 from .cli import main, run_convergence_study, solve_on_mesh, write_vtk
 from .femspace import (
@@ -37,14 +36,13 @@ from .femspace import (
     QuadratureRule,
     SpaceKind,
     build_dofmap,
-    eval_basis,
     interpolate,
     quadrature,
 )
 from .mesh import Mesh, build_edge_table, build_structured_mesh, read_mesh, write_mesh
 from .pairs import PairId, parse_pair
 from .problems import ProblemSpec, cavity_problem, make_problem, mms_problem
-from .solver import Factorization, SolutionField, divergence_residual, solve_saddle, solve_spd
+from .solver import Factorization, SolutionField, divergence_residual, solve_saddle
 
 __version__ = "0.1.0"
 
@@ -79,10 +77,8 @@ __all__ = [
     "convergence_rates",
     "dirichlet_from_field",
     "divergence_residual",
-    "dump_matrix",
     "error_norms",
     "estimate_infsup",
-    "eval_basis",
     "ih_projection",
     "interpolate",
     "main",
@@ -94,7 +90,6 @@ __all__ = [
     "run_convergence_study",
     "solve_on_mesh",
     "solve_saddle",
-    "solve_spd",
     "write_mesh",
     "write_vtk",
 ]

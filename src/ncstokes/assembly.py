@@ -22,7 +22,6 @@ from .femspace import (
     quadrature,
     quadrature_points,
 )
-from .mesh import _format_rows
 
 _AREA_FLOOR = 1e-14
 
@@ -423,11 +422,3 @@ def apply_constraints(system, bc):
         vel_dofmap=vel_dm,
         pres_dofmap=system.pres_dofmap,
     )
-
-
-def dump_matrix(matrix, path):
-    """Write a sparse matrix as 0-based ``row col value`` triplets."""
-    coo = sp.coo_matrix(matrix)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        fh.write(_format_rows("%d %d %r\n", coo.row, coo.col, coo.data.astype(np.float64)))

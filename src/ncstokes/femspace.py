@@ -14,8 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from .mesh import _REFERENCE_BARYCENTRIC_GRADIENTS
-
 
 class SpaceKind(Enum):
     NCP1_VECTOR = "ncp1_vector"
@@ -81,15 +79,6 @@ def quadrature(degree):
     raise ValueError(f"no quadrature rule of degree {degree} available (max 6)")
 
 
-def reference_gradients(space):
-    """Constant gradients of the scalar basis on the reference triangle."""
-    if space in (SpaceKind.P1_VECTOR, SpaceKind.P1_SCALAR):
-        return _REFERENCE_BARYCENTRIC_GRADIENTS.copy()
-    if space is SpaceKind.NCP1_VECTOR:
-        return -2.0 * _REFERENCE_BARYCENTRIC_GRADIENTS
-    return np.zeros((1, 2))
-
-
 def basis_values(space, points):
     """Scalar basis values at barycentric ``points`` of shape (nq, 3)."""
     lam = np.asarray(points, dtype=np.float64)
@@ -98,18 +87,6 @@ def basis_values(space, points):
     if space is SpaceKind.NCP1_VECTOR:
         return 1.0 - 2.0 * lam
     return np.ones((lam.shape[0], 1))
-
-
-def eval_basis(space, point):
-    """Evaluate the scalar basis and its reference gradients at one point.
-
-    ``point`` is a barycentric triple (nonnegative, summing to one). Vector
-    spaces share the scalar basis of their geometric dofs.
-    """
-    lam = np.asarray(point, dtype=np.float64)
-    if lam.shape != (3,) or lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-12:
-        raise ValueError(f"not a barycentric point: {point}")
-    return basis_values(space, lam[None, :])[0], reference_gradients(space)
 
 
 def quadrature_points(mesh, rule):

@@ -9,15 +9,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    IterationDivergenceError,
-    NotPositiveDefiniteError,
-    SingularSystemError,
-)
+from .errors import IterationDivergenceError, SingularSystemError
 from .femspace import FieldCoefficients, SpaceKind
 
 
 _STATIC_PIVOTS = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+# every solve meets ||rhs - matrix @ x|| <= _SOLVE_TOL * ||rhs|| (absolute when rhs vanishes)
+_SOLVE_TOL = 1e-10
 
 
 def _factorize(matrix, error, order=None):
@@ -33,8 +31,12 @@ def _factorize(matrix, error, order=None):
     - At most one zero on the diagonal (the mean-constraint multiplier of a
       saddle matrix with a nonzero pressure block; none in an SPD block):
       SuperLU orders ``A' + A`` by minimum degree and pivots statically.
-    - Any other matrix, such as a raw ``ncp1-p1`` saddle matrix, keeps
-      SuperLU's defaults, COLAMD with threshold partial pivoting.
+    - Any other matrix keeps SuperLU's defaults, COLAMD with threshold
+      partial pivoting: one with two or more zeros on its diagonal and no
+      ``order``, such as an ``ncp1-p0`` saddle matrix factored without
+      ``saddle`` or a raw ``ncp1-p1`` one. Minimum degree with static pivots
+      is no substitute there: on the ``ncp1-p0`` matrix at n = 24,
+      nu = 0.01, it gives 7.5 M L+U entries against COLAMD's 0.69 M.
 
     A SuperLU breakdown raises ``error``, naming the strategy.
     """
@@ -146,12 +148,12 @@ def _zero_p0_block_order(reduced, error):
     return np.argsort(key, kind="stable")
 
 
-def _refine(matrix, rhs, solve, tol, error, what):
+def _refine(matrix, rhs, solve, error, what):
     """``solve(rhs)`` corrected by up to three defect solves until the residual
-    is at most ``tol * ||rhs||`` (absolute when ``rhs`` vanishes)."""
+    is at most ``_SOLVE_TOL * ||rhs||`` (absolute when ``rhs`` vanishes)."""
     x = solve(rhs)
     scale = np.linalg.norm(rhs)
-    bound = tol * (scale if scale > 0 else 1.0)
+    bound = _SOLVE_TOL * (scale if scale > 0 else 1.0)
     for passes in range(4):
         defect = rhs - matrix @ x
         residual = np.linalg.norm(defect)
@@ -170,22 +172,22 @@ class Factorization:
     order of ``_zero_p0_block_order`` with static pivots. Otherwise the
     ordering follows the matrix's diagonal: symmetric minimum degree with
     static pivots when at most one diagonal entry is zero, COLAMD with
-    threshold pivots otherwise (see ``_factorize``). ``strategy`` names the
-    policy taken and ``fill`` is ``(L.nnz + U.nnz) / matrix.nnz``.
-    ``solve`` guarantees a relative residual of at most ``tol`` (absolute
-    when the right-hand side vanishes), refining up to three times before
-    raising ``error``; the residual is a CSR product, and a reduced matrix,
-    being bitwise symmetric, serves as its own CSR form without a copy. A
-    factorization is read-only and may be shared across workers for repeated
-    right-hand sides.
+    threshold pivots otherwise, as for an ``ncp1-p0`` saddle matrix passed
+    without ``saddle`` (see ``_factorize``). ``strategy`` names the policy
+    taken and ``fill`` is ``(L.nnz + U.nnz) / matrix.nnz``. ``solve``
+    guarantees a relative residual of at most ``1e-10`` (absolute when the
+    right-hand side vanishes), refining up to three times before raising
+    ``SingularSystemError``; the residual is a CSR product, and a reduced
+    matrix, being bitwise symmetric, serves as its own CSR form without a
+    copy. A factorization is read-only and may be shared across workers for
+    repeated right-hand sides.
     """
 
-    def __init__(self, matrix, error=SingularSystemError, saddle=None):
+    def __init__(self, matrix, saddle=None):
         # the transpose of a symmetric CSC matrix is its CSR form on the same arrays
         self._matrix = sp.csr_matrix(matrix) if saddle is None else sp.csc_matrix(matrix).T
-        self._error = error
-        self._order = None if saddle is None else _zero_p0_block_order(saddle, error)
-        self._lu, self._strategy = _factorize(matrix, error, self._order)
+        self._order = None if saddle is None else _zero_p0_block_order(saddle, SingularSystemError)
+        self._lu, self._strategy = _factorize(matrix, SingularSystemError, self._order)
 
     @property
     def strategy(self):
@@ -202,22 +204,10 @@ class Factorization:
         x[self._order] = self._lu.solve(rhs[self._order])
         return x
 
-    def solve(self, rhs, tol=1e-10):
+    def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=np.float64)
-        return _refine(self._matrix, rhs, self._lu_solve, tol, self._error,
+        return _refine(self._matrix, rhs, self._lu_solve, SingularSystemError,
                        f"refinements ({self._strategy})")
-
-
-def solve_spd(A, b):
-    """Solve a symmetric positive definite system directly, to relative residual 1e-12.
-
-    Raises NotPositiveDefiniteError when the factorization breaks down or
-    the solution fails the positivity probe b'x = x'Ax > 0.
-    """
-    x = Factorization(A, error=NotPositiveDefiniteError).solve(b, tol=1e-12)
-    if np.linalg.norm(b) > 0 and float(np.dot(b, x)) <= 0.0:
-        raise NotPositiveDefiniteError("matrix is not positive definite (x'Ax <= 0)")
-    return x
 
 
 @dataclass
@@ -250,15 +240,15 @@ def solve_saddle(reduced, method="direct"):
     iterative refinement, Uzawa by up to three defect corrections.
     """
     if method == "direct":
-        x = Factorization(reduced.matrix, saddle=reduced).solve(reduced.rhs, tol=1e-10)
+        x = Factorization(reduced.matrix, saddle=reduced).solve(reduced.rhs)
     elif method == "uzawa":
-        x = _solve_uzawa(reduced, tol=1e-10)
+        x = _solve_uzawa(reduced)
     else:
         raise ValueError(f"unknown solver method '{method}'")
     return _assemble_solution(reduced, x)
 
 
-def _solve_uzawa(reduced, tol):
+def _solve_uzawa(reduced):
     """Preconditioned conjugate gradients on the pressure Schur complement.
 
     The operator S = B A^-1 B' (+G) has the constant pressure in its kernel,
@@ -273,7 +263,7 @@ def _solve_uzawa(reduced, tol):
     equivalent on an inf-sup stable pair: a division for the diagonal P0
     mass, one SPD factor of pressure size otherwise (``_pressure_inverse``).
     The Schur residual is the pressure rows' residual (the other rows are met
-    exactly), so the CG stops at the contract's own bound ``tol * ||rhs||``;
+    exactly), so the CG stops at the contract's own bound ``1e-10 * ||rhs||``;
     a full-system residual still above it is corrected, at most three times,
     by solving for the defect.
     """
@@ -285,7 +275,7 @@ def _solve_uzawa(reduced, tol):
     P = reduced.M / reduced.nu
     solve_p = _pressure_inverse(P if reduced.G is None else P + reduced.G, SingularSystemError)
     scale = np.linalg.norm(reduced.rhs)
-    bound = tol * (scale if scale > 0 else 1.0)
+    bound = _SOLVE_TOL * (scale if scale > 0 else 1.0)
 
     def apply_schur(q):
         y = B_I @ solve_a(B_T @ q) + c * (c @ q) / c.sum()
@@ -302,7 +292,7 @@ def _solve_uzawa(reduced, tol):
         p = p + (rhs[-1] - c @ p) / c.sum()
         return np.concatenate([solve_a(F + B_T @ p), p, [multiplier]])
 
-    return _refine(reduced.matrix, reduced.rhs, schur_solve, tol, IterationDivergenceError,
+    return _refine(reduced.matrix, reduced.rhs, schur_solve, IterationDivergenceError,
                    f"corrections (A_II: {strategy})")
 
 

@@ -187,6 +187,22 @@ def test_infsup_iterative_failure_names_residual_tolerance_and_iterations(monkey
         estimate_infsup(build_structured_mesh(16), PairId.NCP1_P0, method="iterative")
 
 
+@pytest.mark.parametrize("pair", list(PairId))
+def test_infsup_residual_check_rejects_the_constant_pressure(monkeypatch, pair):
+    # the shift c c'/c.1 gives the constant eigenvalue 1 exactly, so the check
+    # must use the unshifted S, which has the constant in its kernel: residual 1
+    def constant_pressure(op, k, which, v0, **kwargs):
+        return np.ones(1), np.ones((len(v0), 1))
+
+    monkeypatch.setattr(spla, "eigs", constant_pressure)
+    with pytest.raises(
+        EigenNonConvergenceError,
+        match=r"^Arnoldi residual 1\.000e\+00 above tolerance 1\.0e-06 "
+        r"after 0 operator applications$",
+    ):
+        estimate_infsup(build_structured_mesh(8), pair, method="iterative")
+
+
 def test_infsup_iterative_is_singular_where_dense_is():
     # the spurious pressure modes of the structured grid give beta = 0; the
     # default restart limit lets the iteration settle there

@@ -16,7 +16,6 @@ from ncstokes.assembly import (
     assemble_stiffness,
     build_saddle_system,
     dirichlet_from_field,
-    dump_matrix,
 )
 from ncstokes.errors import DegenerateElementError, InconsistentBCError
 from ncstokes.femspace import SpaceKind, basis_values, build_dofmap, interpolate, quadrature
@@ -262,28 +261,6 @@ def test_dirichlet_sites_are_edge_midpoints(mesh_n4):
         mx, my = mesh_n4.edge_midpoints[e]
         assert values[2 * int(e)] == pytest.approx(mx, abs=1e-15)
         assert values[2 * int(e) + 1] == pytest.approx(10.0 * my, abs=1e-15)
-
-
-def test_dump_matrix_round_trip(tmp_path, mesh_n2):
-    pdm = build_dofmap(mesh_n2, SpaceKind.P1_SCALAR)
-    M = assemble_pressure_mass(mesh_n2, pdm)
-    path = tmp_path / "mass.coo"
-    dump_matrix(M, path)
-    coo = M.tocoo()
-    expected = [f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"] + [
-        f"{r} {c} {float(v)!r}\n" for r, c, v in zip(coo.row, coo.col, coo.data)
-    ]
-    assert path.read_text() == "".join(expected)
-    triplets = []
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            continue
-        r, c, v = line.split()
-        triplets.append((int(r), int(c), float(v)))
-    dense = np.zeros(M.shape)
-    for r, c, v in triplets:
-        dense[r, c] += v
-    np.testing.assert_array_equal(dense, M.toarray())
 
 
 def mesh_from(source):

@@ -319,6 +319,13 @@ def test_numerical_errors_share_one_base():
         assert issubclass(cls, errors.NumericalError) and issubclass(cls, RuntimeError)
 
 
+def test_every_public_name_resolves():
+    # a removal that leaves its export behind fails here, not at a user's import
+    names = ncstokes.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(ncstokes, name)] == []
+
+
 def test_module_entry_point_help():
     # the subprocess imports the same package as this test, installed or not
     package_root = str(Path(ncstokes.__file__).parents[1])

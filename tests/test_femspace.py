@@ -9,7 +9,6 @@ from ncstokes.femspace import (
     basis_values,
     build_dofmap,
     dof_sites,
-    eval_basis,
     interpolate,
     physical_gradients,
     quadrature,
@@ -89,7 +88,7 @@ def test_ncp1_basis_kronecker_at_midpoints():
     # midpoint of the edge opposite local vertex i has barycentric lambda_i = 0
     midpoints = [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)]
     for i, point in enumerate(midpoints):
-        values, _ = eval_basis(SpaceKind.NCP1_VECTOR, point)
+        values = basis_values(SpaceKind.NCP1_VECTOR, [point])[0]
         expected = np.zeros(3)
         expected[i] = 1.0
         np.testing.assert_allclose(values, expected, atol=1e-15)
@@ -99,13 +98,8 @@ def test_partition_of_unity_at_random_points(rng):
     for _ in range(50):
         lam = rng.dirichlet([1.0, 1.0, 1.0])
         for space in (SpaceKind.NCP1_VECTOR, SpaceKind.P1_SCALAR, SpaceKind.P0_SCALAR):
-            values, _ = eval_basis(space, lam)
+            values = basis_values(space, [lam])[0]
             assert values.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eval_basis_rejects_bad_barycentric():
-    with pytest.raises(ValueError):
-        eval_basis(SpaceKind.P1_SCALAR, (0.5, 0.6, 0.2))
 
 
 def test_reference_stiffness_matches_symbolic_oracle(reference_triangle_mesh):

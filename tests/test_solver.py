@@ -21,7 +21,6 @@ from ncstokes.solver import (
     _cg,
     divergence_residual,
     solve_saddle,
-    solve_spd,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -41,35 +40,24 @@ def reduced_system(n, pair, problem):
     return mesh, system, apply_constraints(system, bc)
 
 
-def test_solve_spd_identity():
-    b = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_array_equal(solve_spd(sp.identity(3, format="csr"), b), b)
-
-
-def test_solve_spd_recovers_random_solution(rng):
+def test_factorization_recovers_random_solution(rng):
     mesh = build_structured_mesh(4)
     dm = build_dofmap(mesh, SpaceKind.NCP1_VECTOR)
     A = assemble_stiffness(mesh, dm, nu=1.0).tocsr()
     interior = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dofs)
     A_II = A[interior][:, interior]
     x = rng.standard_normal(len(interior))
-    recovered = solve_spd(A_II, A_II @ x)
+    recovered = Factorization(A_II).solve(A_II @ x)
     assert np.linalg.norm(recovered - x) <= 1e-10 * np.linalg.norm(x)
 
 
-def test_solve_spd_rejects_singular_stiffness(reference_triangle_mesh):
+def test_factorization_rejects_singular_stiffness(reference_triangle_mesh):
     # the unreduced 3x3 block has the constant vector in its kernel
     dm = build_dofmap(reference_triangle_mesh, SpaceKind.NCP1_VECTOR)
     A = assemble_stiffness(reference_triangle_mesh, dm, nu=1.0).toarray()
     block = sp.csr_matrix(A[0::2, 0::2])
-    with pytest.raises(NotPositiveDefiniteError):
-        solve_spd(block, np.array([1.0, 0.0, -1.0]))
-
-
-def test_solve_spd_rejects_indefinite_matrix():
-    A = sp.csr_matrix(np.diag([1.0, -1.0]))
-    with pytest.raises(NotPositiveDefiniteError):
-        solve_spd(A, np.array([0.0, 1.0]))
+    with pytest.raises(SingularSystemError, match="exactly singular"):
+        Factorization(block).solve(np.array([1.0, 0.0, -1.0]))
 
 
 def test_factorization_reports_exactly_singular():
@@ -264,14 +252,16 @@ def test_uzawa_failure_names_residual_tolerance_and_corrections(monkeypatch):
         solve_saddle(reduced, method="uzawa")
 
 
-def test_refinement_failure_names_residual_tolerance_and_refinements():
+def test_refinement_failure_names_residual_tolerance_and_refinements(monkeypatch):
     hilbert = 1.0 / (np.arange(10)[:, None] + np.arange(10)[None, :] + 1.0)
+    # no refinement reaches a residual of 1e-30 on the Hilbert matrix
+    monkeypatch.setattr(solver, "_SOLVE_TOL", 1e-30)
     with pytest.raises(
         SingularSystemError,
         match=r"residual \S+ above tolerance \S+ after 3 refinements "
         r"\(MMD_AT_PLUS_A, static pivots\)",
     ):
-        Factorization(hilbert).solve(np.ones(10), tol=1e-30)
+        Factorization(hilbert).solve(np.ones(10))
 
 
 def shifted_laplacian(rng, n=12):
