@@ -37,9 +37,5 @@ class IterationDivergenceError(NumericalError):
     """An iterative solve exceeded its iteration budget."""
 
 
-class NotPositiveDefiniteError(NumericalError):
-    """A matrix handed to an SPD solve is not positive definite."""
-
-
 class EigenNonConvergenceError(NumericalError):
     """The inf-sup Arnoldi eigensolve did not converge or failed its residual check."""

@@ -18,7 +18,7 @@ _STATIC_PIVOTS = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 _SOLVE_TOL = 1e-10
 
 
-def _factorize(matrix, error, order=None):
+def _factorize(matrix, order=None):
     """Sparse LU factor of ``matrix`` and the name of its ordering and pivoting.
 
     Three policies, each pivoting statically on the diagonal where it can
@@ -38,7 +38,7 @@ def _factorize(matrix, error, order=None):
       is no substitute there: on the ``ncp1-p0`` matrix at n = 24,
       nu = 0.01, it gives 7.5 M L+U entries against COLAMD's 0.69 M.
 
-    A SuperLU breakdown raises ``error``, naming the strategy.
+    A SuperLU breakdown raises ``SingularSystemError``, naming the strategy.
     """
     matrix = sp.csc_matrix(matrix)
     if order is not None:
@@ -53,10 +53,10 @@ def _factorize(matrix, error, order=None):
     try:
         return spla.splu(matrix, **options), strategy
     except RuntimeError as exc:
-        raise error(f"factorization failed ({strategy}): {exc}") from exc
+        raise SingularSystemError(f"factorization failed ({strategy}): {exc}") from exc
 
 
-def _component_factor(A_II, error):
+def _component_factor(A_II):
     """One factor of the scalar block behind a two-component interior stiffness.
 
     ``A_II`` interleaves the two velocity components of every interior dof
@@ -65,10 +65,10 @@ def _component_factor(A_II, error):
     copies of ``K = A_II[0::2, 0::2]``. That is checked: a nonzero coupling
     between the components, or a second block that differs from ``K`` by more
     than ``1e-12 * max|K|``, raises ``ValueError`` naming the largest
-    mismatch. ``K`` is factored once (a breakdown raises ``error``) and the
-    solve maps an interior vector or block ``y`` to ``A_II^-1 y`` with one
-    SuperLU solve, the components as extra right-hand-side columns.
-    Returns the SuperLU factor of ``K``, its strategy and the solve.
+    mismatch. ``K`` is factored once and the solve maps an interior vector
+    or block ``y`` to ``A_II^-1 y`` with one SuperLU solve, the components as
+    extra right-hand-side columns. Returns the SuperLU factor of ``K``, its
+    strategy and the solve.
     """
     A = sp.csr_matrix(A_II)
     n_i = A.shape[0]
@@ -92,7 +92,7 @@ def _component_factor(A_II, error):
     if not difference <= bound:
         raise mismatch(difference, "second component block", bound)
     # K is bitwise symmetric, like the A it is cut from: K.T is its CSC form on the same arrays
-    lu, strategy = _factorize(K.T, error)
+    lu, strategy = _factorize(K.T)
 
     def solve(y):
         # the column count is spelled out: reshape cannot infer it when n_i == 0
@@ -102,23 +102,43 @@ def _component_factor(A_II, error):
     return lu, strategy, solve
 
 
-def _pressure_inverse(P, error):
+def _shifted_schur(A_II, B_I, G, c):
+    """The SPD pressure operator ``q -> S q + c (c.q)/c.1 (+ G q)``, S = B_I A_II^-1 B_I'.
+
+    ``S`` (+``G``) has the constant pressure in its kernel; the rank-one shift
+    maps it to ``c`` and keeps the rest of the spectrum. Returns it (Uzawa's
+    CG and the inf-sup Arnoldi iterate on it), the unshifted ``q -> S q``, the
+    interior solve ``y -> A_II^-1 y`` and its factor's strategy.
+    """
+    _, strategy, solve_a = _component_factor(A_II)
+    B_T = B_I.T  # one transpose: building it per product costs more than the product
+
+    def schur(q):
+        return B_I @ solve_a(B_T @ q)
+
+    def shifted(q):
+        y = schur(q) + c * (c @ q) / c.sum()
+        return y if G is None else y + G @ q
+
+    return shifted, schur, solve_a, strategy
+
+
+def _pressure_inverse(P):
     """The solve ``b -> P^-1 b`` for a pressure-size SPD matrix ``P``.
 
     A diagonal ``P`` (a P0 mass: no nonzero off the diagonal, none zero on
     it) is inverted by division, which gives the same bits as its SuperLU
-    solve; any other is factored by ``_factorize`` (a breakdown raises
-    ``error``).
+    solve; any other is factored by ``_factorize``.
     """
     coo = sp.coo_matrix(P)
     diagonal = P.diagonal()
     if not coo.data[coo.row != coo.col].any() and diagonal.all():
         return lambda b: b / diagonal
-    lu, _ = _factorize(P, error)
+    lu, _ = _factorize(P)
     return lu.solve
 
 
-def _zero_p0_block_order(reduced, error):
+def _zero_p0_block_order(reduced):
     """Elimination order of a saddle matrix with a zero P0 pressure block.
 
     The velocities follow the minimum degree order of the scalar interior
@@ -134,7 +154,7 @@ def _zero_p0_block_order(reduced, error):
     if reduced.G is not None or reduced.pres_dofmap.space is not SpaceKind.P0_SCALAR:
         return None
     n_i = reduced.n_interior
-    scalar_lu, _, _ = _component_factor(reduced.A_II, error)
+    scalar_lu, _, _ = _component_factor(reduced.A_II)
     scalar = np.argsort(scalar_lu.perm_c)  # perm_c[j] is the position of column j
     position = np.empty(n_i, dtype=np.int64)
     position[np.column_stack([2 * scalar, 2 * scalar + 1]).ravel()] = np.arange(n_i)
@@ -186,8 +206,8 @@ class Factorization:
     def __init__(self, matrix, saddle=None):
         # the transpose of a symmetric CSC matrix is its CSR form on the same arrays
         self._matrix = sp.csr_matrix(matrix) if saddle is None else sp.csc_matrix(matrix).T
-        self._order = None if saddle is None else _zero_p0_block_order(saddle, SingularSystemError)
-        self._lu, self._strategy = _factorize(matrix, SingularSystemError, self._order)
+        self._order = None if saddle is None else _zero_p0_block_order(saddle)
+        self._lu, self._strategy = _factorize(matrix, self._order)
 
     @property
     def strategy(self):
@@ -251,17 +271,12 @@ def solve_saddle(reduced, method="direct"):
 def _solve_uzawa(reduced):
     """Preconditioned conjugate gradients on the pressure Schur complement.
 
-    The operator S = B A^-1 B' (+G) has the constant pressure in its kernel,
-    so the mean-constraint multiplier is the one that makes the Schur
-    right-hand side sum to zero. CG solves the inf-sup estimator's SPD
-    ``S + c c'/c.1`` for it, which gives ``c'p = 0``, and the final
-    pressure is shifted to meet the constraint row ``c'p``. Every ``A^-1``
-    is one solve with the factor of the scalar block of ``A_II``, the two
-    velocity components as two columns (``_component_factor``). The CG is
-    preconditioned with the inverse of the scaled pressure mass
-    ``P = M/nu (+G)`` (Cahouet-Chabard), to which S is spectrally
-    equivalent on an inf-sup stable pair: a division for the diagonal P0
-    mass, one SPD factor of pressure size otherwise (``_pressure_inverse``).
+    The mean-constraint multiplier is the one that makes the Schur
+    right-hand side sum to zero. CG solves ``_shifted_schur``'s operator for
+    it, which gives ``c'p = 0``, and the final pressure is shifted to meet
+    the constraint row ``c'p``. The CG is preconditioned with the inverse of
+    the scaled pressure mass ``P = M/nu (+G)`` (Cahouet-Chabard), to which S
+    is spectrally equivalent on an inf-sup stable pair (``_pressure_inverse``).
     The Schur residual is the pressure rows' residual (the other rows are met
     exactly), so the CG stops at the contract's own bound ``1e-10 * ||rhs||``;
     a full-system residual still above it is corrected, at most three times,
@@ -269,17 +284,12 @@ def _solve_uzawa(reduced):
     """
     n_i = reduced.n_interior
     n_p = reduced.n_pressure
-    _, strategy, solve_a = _component_factor(reduced.A_II, SingularSystemError)
     B_I, c = reduced.B_I, reduced.c
-    B_T = B_I.T  # one transpose: building it per product costs more than the product
+    apply_schur, _, solve_a, strategy = _shifted_schur(reduced.A_II, B_I, reduced.G, c)
     P = reduced.M / reduced.nu
-    solve_p = _pressure_inverse(P if reduced.G is None else P + reduced.G, SingularSystemError)
+    solve_p = _pressure_inverse(P if reduced.G is None else P + reduced.G)
     scale = np.linalg.norm(reduced.rhs)
     bound = _SOLVE_TOL * (scale if scale > 0 else 1.0)
-
-    def apply_schur(q):
-        y = B_I @ solve_a(B_T @ q) + c * (c @ q) / c.sum()
-        return y if reduced.G is None else y + reduced.G @ q
 
     def schur_solve(rhs):
         F = rhs[:n_i]
@@ -290,7 +300,7 @@ def _solve_uzawa(reduced):
         p = _cg(apply_schur, b, tol=bound / norm_b if norm_b > 0 else 0.0,
                 maxiter=20 * n_p, precondition=solve_p)
         p = p + (rhs[-1] - c @ p) / c.sum()
-        return np.concatenate([solve_a(F + B_T @ p), p, [multiplier]])
+        return np.concatenate([solve_a(F + B_I.T @ p), p, [multiplier]])
 
     return _refine(reduced.matrix, reduced.rhs, schur_solve, IterationDivergenceError,
                    f"corrections (A_II: {strategy})")

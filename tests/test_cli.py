@@ -311,11 +311,26 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+def test_factor_breakdown_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    import ncstokes.solver
+
+    def breakdown(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(ncstokes.solver.spla, "splu", breakdown)
+    out = tmp_path / "beta.csv"
+    assert run_cli("infsup", "--pair", "ncp1-p0", "--levels", "4", "--out", str(out)) == 2
+    assert capsys.readouterr().err == ("numerical failure: factorization failed "
+                                       "(MMD_AT_PLUS_A, static pivots): "
+                                       "Factor is exactly singular\n")
+    assert not out.exists()
+
+
 def test_numerical_errors_share_one_base():
     from ncstokes import errors
 
     for cls in (errors.SingularSystemError, errors.IterationDivergenceError,
-                errors.NotPositiveDefiniteError, errors.EigenNonConvergenceError):
+                errors.EigenNonConvergenceError):
         assert issubclass(cls, errors.NumericalError) and issubclass(cls, RuntimeError)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +8,7 @@ import scipy.sparse as sp
 
 from ncstokes import analysis, solver
 from ncstokes.assembly import apply_constraints, assemble_stiffness, build_saddle_system
-from ncstokes.errors import (
-    IterationDivergenceError,
-    NotPositiveDefiniteError,
-    SingularSystemError,
-)
+from ncstokes.errors import IterationDivergenceError, SingularSystemError
 from ncstokes.femspace import SpaceKind, build_dofmap
 from ncstokes.mesh import build_structured_mesh, read_mesh
 from ncstokes.pairs import PairId
@@ -325,9 +322,8 @@ def test_pressure_inverse_divides_a_diagonal_mass_bit_for_bit(rng):
     mesh = build_structured_mesh(8)
     _, _, M, _ = analysis._reduced_infsup_blocks(mesh, PairId.NCP1_P0)
     b = rng.standard_normal(M.shape[0])
-    lu, _ = solver._factorize(M, NotPositiveDefiniteError)
-    np.testing.assert_array_equal(solver._pressure_inverse(M, NotPositiveDefiniteError)(b),
-                                  lu.solve(b))
+    lu, _ = solver._factorize(M)
+    np.testing.assert_array_equal(solver._pressure_inverse(M)(b), lu.solve(b))
 
 
 def schur_applications(reduced, monkeypatch):
@@ -379,7 +375,7 @@ def test_uzawa_mass_preconditioner_bounds_the_schur_applications(mesh_source, pa
     reduced = reduced_on(mesh, pair)
     assert schur_applications(reduced, monkeypatch) <= bound
     # the bound is one the unpreconditioned CG does not meet
-    monkeypatch.setattr(solver, "_pressure_inverse", lambda P, error: lambda r: r)
+    monkeypatch.setattr(solver, "_pressure_inverse", lambda P: lambda r: r)
     assert schur_applications(reduced, monkeypatch) > bound
 
 
@@ -413,7 +409,7 @@ def test_nonzero_pressure_block_takes_symmetric_ordering_with_static_pivots(pair
     fills = []
     for nu in (1.0, 0.01):
         _, _, reduced = reduced_system(20, pair, mms_problem(nu=nu))
-        lu, strategy = solver._factorize(reduced.matrix, SingularSystemError)
+        lu, strategy = solver._factorize(reduced.matrix)
         assert strategy == "MMD_AT_PLUS_A, static pivots"
         assert (lu.perm_r == lu.perm_c).all()
         fills.append(lu_fill(lu, reduced.matrix))
@@ -438,7 +434,7 @@ def test_zero_p0_pressure_block_takes_saddle_order_with_static_pivots():
 
 def test_saddle_order_puts_each_pressure_after_its_last_coupled_velocity():
     _, _, reduced = reduced_system(8, PairId.NCP1_P0, mms_problem())
-    order = solver._zero_p0_block_order(reduced, SingularSystemError)
+    order = solver._zero_p0_block_order(reduced)
     n_i, n_p = reduced.n_interior, reduced.n_pressure
     assert np.array_equal(np.sort(order), np.arange(n_i + n_p + 1))
     assert order[-1] == n_i + n_p
@@ -460,7 +456,7 @@ def test_saddle_order_puts_each_pressure_after_its_last_coupled_velocity():
 @pytest.mark.parametrize("pair", [PairId.NCP1_P1, PairId.NCP1_P1_STAB, PairId.P1_P1_STAB])
 def test_saddle_order_is_for_p0_pressures_only(pair):
     _, _, reduced = reduced_system(6, pair, mms_problem())
-    assert solver._zero_p0_block_order(reduced, SingularSystemError) is None
+    assert solver._zero_p0_block_order(reduced) is None
     assert Factorization(reduced.matrix, saddle=reduced).strategy == "MMD_AT_PLUS_A, static pivots"
 
 
@@ -501,7 +497,7 @@ def test_explicit_zeros_keep_ncp1_p0_fill_low():
     # the zeros that assembly stores give COLAMD the coupled pattern; with
     # eliminate_zeros() this factor holds 3.2e6 entries (1.28e6 with them)
     _, _, reduced = reduced_system(40, PairId.NCP1_P0, mms_problem(nu=0.01))
-    lu, _ = solver._factorize(reduced.matrix, SingularSystemError)
+    lu, _ = solver._factorize(reduced.matrix)
     assert lu.L.nnz + lu.U.nnz < 2.0e6
 
 
@@ -509,13 +505,13 @@ def test_raw_ncp1_p1_keeps_threshold_pivoting():
     mesh = build_structured_mesh(8)
     system, bc = build_saddle_system(mesh, PairId.NCP1_P1, mms_problem())
     raw = dataclasses.replace(system, G=None, regularization=0.0)
-    _, strategy = solver._factorize(apply_constraints(raw, bc).matrix, SingularSystemError)
+    _, strategy = solver._factorize(apply_constraints(raw, bc).matrix)
     assert strategy == "COLAMD, threshold pivots"
 
 
 def test_spd_interior_stiffness_takes_symmetric_ordering():
     _, _, reduced = reduced_system(20, PairId.NCP1_P1, mms_problem())
-    lu, strategy = solver._factorize(reduced.A_II, NotPositiveDefiniteError)
+    lu, strategy = solver._factorize(reduced.A_II)
     assert strategy == "MMD_AT_PLUS_A, static pivots"
     assert (lu.perm_r == lu.perm_c).all()
 
@@ -556,11 +552,11 @@ def test_interior_stiffness_is_two_copies_of_one_scalar_block(pair, mesh_source,
     assert np.count_nonzero(A_II[0::2, 1::2].data) == 0
     assert np.count_nonzero(A_II[1::2, 0::2].data) == 0
     assert abs(A_II[1::2, 1::2] - K).max() <= 1e-12 * abs(K).max()
-    lu, strategy, solve = solver._component_factor(A_II, SingularSystemError)
+    lu, strategy, solve = solver._component_factor(A_II)
     assert strategy == "MMD_AT_PLUS_A, static pivots"
     assert lu.shape == K.shape
     # one vector and one block of right-hand sides against the vector factor
-    vector_lu, _ = solver._factorize(A_II, SingularSystemError)
+    vector_lu, _ = solver._factorize(A_II)
     for y in (rng.standard_normal(reduced.n_interior), rng.standard_normal((reduced.n_interior, 3))):
         expected = vector_lu.solve(y)
         assert solve(y).shape == y.shape
@@ -577,9 +573,23 @@ def one_coupling_entry(A_II):
     return coupled.tocsr()
 
 
+def stored_in_the_second_block(A_II, value):
+    """``A_II`` with ``value`` stored at a symmetric pair of positions of the
+    second component block where ``K`` stores nothing (kept if zero)."""
+    coo = A_II.tocoo()
+    K = A_II.tocsr()[0::2, 0::2]
+    j = np.setdiff1d(np.arange(K.shape[0]), K.indices[K.indptr[0] : K.indptr[1]])[0]
+    return sp.coo_matrix((np.r_[coo.data, value, value],
+                          (np.r_[coo.row, 1, 2 * j + 1], np.r_[coo.col, 2 * j + 1, 1])),
+                         shape=A_II.shape).tocsr()
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
+        (functools.partial(stored_in_the_second_block, value=1e-3),
+         r"A_II is not two copies of one scalar block: largest mismatch 1\.000e-03 "
+         r"in the second component block \(tolerance \S+\)"),
         (second_component_doubled,
          r"A_II is not two copies of one scalar block: largest mismatch \S+ "
          r"in the second component block \(tolerance \S+\)"),
@@ -592,12 +602,46 @@ def test_component_factor_rejects_a_stiffness_that_is_not_two_copies(corrupt, me
     _, _, reduced = reduced_system(6, PairId.NCP1_P0, mms_problem())
     corrupted = type(reduced)(**{**reduced.__dict__, "A_II": corrupt(reduced.A_II)})
     with pytest.raises(ValueError, match=message):
-        solver._component_factor(corrupted.A_II, SingularSystemError)
+        solver._component_factor(corrupted.A_II)
     # every path that treats A_II as two components checks it
     with pytest.raises(ValueError, match=message):
         solve_saddle(corrupted, method="uzawa")
     with pytest.raises(ValueError, match=message):
-        solver._zero_p0_block_order(corrupted, SingularSystemError)
+        solver._zero_p0_block_order(corrupted)
+
+
+def test_component_factor_accepts_an_explicit_zero_in_one_block(rng):
+    _, _, reduced = reduced_system(6, PairId.NCP1_P0, mms_problem())
+    padded = stored_in_the_second_block(reduced.A_II, 0.0)
+    # the two blocks' patterns differ, so the check compares them entry by entry
+    assert padded.nnz == reduced.A_II.nnz + 2
+    y = rng.standard_normal((reduced.n_interior, 3))
+    _, _, solve = solver._component_factor(reduced.A_II)
+    _, _, padded_solve = solver._component_factor(padded)
+    np.testing.assert_array_equal(padded_solve(y), solve(y))
+
+
+@pytest.mark.parametrize("pair", list(PairId))
+@pytest.mark.parametrize("mesh_source", ["n6", "jittered_flipped_n6.mesh"])
+def test_shifted_schur_matches_its_dense_form(pair, mesh_source, rng):
+    mesh = (read_mesh(DATA / mesh_source) if mesh_source.endswith(".mesh")
+            else build_structured_mesh(int(mesh_source[1:])))
+    reduced = reduced_on(mesh, pair)
+    B_I, G, c = reduced.B_I, reduced.G, reduced.c
+    apply, schur, _, strategy = solver._shifted_schur(reduced.A_II, B_I, G, c)
+    assert strategy == "MMD_AT_PLUS_A, static pivots"
+    # B_I' and G vanish on the constant pressure, which the shift maps to c
+    ones = np.ones(reduced.n_pressure)
+    assert np.linalg.norm(apply(ones) - c) <= 1e-12 * np.linalg.norm(c)
+    lu, _ = solver._factorize(reduced.A_II)
+    S = B_I @ lu.solve(B_I.T.toarray())
+    dense = S + np.outer(c, c) / c.sum()
+    if G is not None:
+        dense += G.toarray()
+    for q in rng.standard_normal((3, reduced.n_pressure)):
+        for operator, matrix in ((apply, dense), (schur, S)):
+            expected = matrix @ q
+            assert np.linalg.norm(operator(q) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.fixture()
@@ -636,3 +680,28 @@ def test_infsup_iterative_factors_the_half_size_scalar_block(splu_shapes):
     splu_shapes.clear()
     analysis.estimate_infsup(mesh, PairId.NCP1_P0, method="dense")
     assert splu_shapes == [A_II.shape]
+
+
+@pytest.fixture()
+def singular_splu(monkeypatch):
+    """Every SuperLU factorization breaks down."""
+    def breakdown(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver.spla, "splu", breakdown)
+
+
+BREAKDOWN = r"^factorization failed \(MMD_AT_PLUS_A, static pivots\): Factor is exactly singular$"
+
+
+@pytest.mark.parametrize("pair", list(PairId))
+def test_every_factor_breakdown_is_a_singular_system(pair, singular_splu):
+    mesh, _, reduced = reduced_system(4, pair, mms_problem(nu=0.01))
+    for method in ("direct", "uzawa"):
+        with pytest.raises(SingularSystemError, match=BREAKDOWN):
+            solve_saddle(reduced, method=method)
+    for method in ("dense", "iterative"):
+        with pytest.raises(SingularSystemError, match=BREAKDOWN):
+            analysis.estimate_infsup(mesh, pair, method=method)
+    with pytest.raises(SingularSystemError, match=BREAKDOWN):
+        analysis.consistency_error(mesh, mms_problem(nu=0.01))
