@@ -15,9 +15,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import (
+# assemble_divergence and assemble_pressure_mass are not called here, but the benchmark
+# tracer (perfbench/tracing.py) wraps them under this module's name and fails without them
+from .assembly import (  # noqa: F401
     assemble_divergence,
     assemble_load,
+    assemble_operator,
     assemble_pressure_mass,
     assemble_stiffness,
     restrict_to_interior,
@@ -159,16 +162,6 @@ def ih_projection(pressure, mesh):
     )
 
 
-def _reduced_infsup_blocks(mesh, pair):
-    vel_dm = build_dofmap(mesh, pair.velocity_space)
-    pres_dm = build_dofmap(mesh, pair.pressure_space)
-    A = assemble_stiffness(mesh, vel_dm, nu=1.0)
-    B = assemble_divergence(mesh, vel_dm, pres_dm)
-    M = assemble_pressure_mass(mesh, pres_dm)
-    _, A_II, B_I = restrict_to_interior(vel_dm, A, B)
-    return A_II, B_I, M, np.asarray(M @ np.ones(pres_dm.n_dofs))
-
-
 def _infsup_dense(A_II, B_I, M, c):
     lu, _ = _factorize(A_II)
     S = B_I @ lu.solve(B_I.T.toarray())
@@ -227,18 +220,26 @@ def _infsup_arnoldi(A_II, B_I, M, c, seed):
 def estimate_infsup(mesh, pair, n=None, method="iterative", seed=0):
     """Estimate the discrete inf-sup constant of a velocity/pressure pair.
 
-    The estimator always uses the unit-viscosity stiffness, so the result is
-    independent of the problem's viscosity. ``method`` may be ``"dense"``
-    (full generalized eigensolve on the mean-zero subspace, the reference
-    oracle) or ``"iterative"`` (the default: ARPACK's restarted Arnoldi on
-    the Schur pencil from a start vector drawn from ``seed``, at most ten
-    restarts per pressure unknown). Both use the dense solve below three
+    The estimator restricts ``assemble_operator(mesh, pair, 1.0)``, the blocks a
+    solve at nu = 1 factors, to the interior velocity dofs and leaves out ``G``:
+    the result is ``B``'s alone, whatever the viscosity. ``method`` may be
+    ``"dense"`` (full generalized eigensolve on the mean-zero subspace, the
+    reference oracle) or ``"iterative"`` (the default: ARPACK's restarted
+    Arnoldi on the Schur pencil from a start vector drawn from ``seed``, at most
+    ten restarts per pressure unknown). Both use the dense solve below three
     pressure unknowns, where ARPACK has no room. A restart limit reached, or
     a Ritz pair failing its residual check, raises ``EigenNonConvergenceError``.
+    A single pressure unknown leaves no mean-free pressure: ``ValueError``.
     """
     if method not in ("dense", "iterative"):
         raise ValueError(f"unknown inf-sup method '{method}'")
-    A_II, B_I, M, c = _reduced_infsup_blocks(mesh, pair)
+    operator = assemble_operator(mesh, pair, 1.0)
+    M, c = operator.M, operator.c
+    if len(c) == 1:
+        raise ValueError(f"{pair.value} has a single pressure unknown on this mesh: "
+                         "no pressure is mean free")
+    _, A_II, B_I = restrict_to_interior(operator.vel_dofmap, operator.A, operator.B)
+    del operator  # the unrestricted blocks would only add to the eigensolve's peak memory
     if method == "dense" or M.shape[0] < 3:
         lam = _infsup_dense(A_II, B_I, M, c)
     else:

@@ -102,19 +102,24 @@ def assemble_divergence(mesh, vel_dofmap, pres_dofmap):
     )
 
 
-def assemble_pressure_mass(mesh, pres_dofmap):
-    """Assemble the pressure mass matrix; 1'M1 equals the domain area."""
+def _pressure_form(mesh, pres_dofmap, centered):
+    """Scatter ``area_K`` times the reference pressure mass, less the outer product of
+    the reference basis means when ``centered``."""
     _check_areas(mesh)
     rule = quadrature(2)
     pvals = basis_values(pres_dofmap.space, rule.points)
     unit_mass = np.einsum("q,qa,qb->ab", rule.weights, pvals, pvals)
+    if centered:
+        unit_mean = rule.weights @ pvals
+        unit_mass = unit_mass - np.outer(unit_mean, unit_mean)
     local = mesh.areas[:, None, None] * unit_mass[None, :, :]
-    return _scatter(
-        local,
-        pres_dofmap.cell_dofs,
-        pres_dofmap.cell_dofs,
-        (pres_dofmap.n_dofs, pres_dofmap.n_dofs),
-    )
+    dofs, n = pres_dofmap.cell_dofs, pres_dofmap.n_dofs
+    return _scatter(local, dofs, dofs, (n, n))
+
+
+def assemble_pressure_mass(mesh, pres_dofmap):
+    """Assemble the pressure mass matrix; 1'M1 equals the domain area."""
+    return _pressure_form(mesh, pres_dofmap, centered=False)
 
 
 def assemble_stabilization(mesh, pres_dofmap):
@@ -126,20 +131,7 @@ def assemble_stabilization(mesh, pres_dofmap):
     """
     if pres_dofmap.space is not SpaceKind.P1_SCALAR:
         raise ValueError("pressure-projection stabilization expects linear pressure")
-    _check_areas(mesh)
-    rule = quadrature(2)
-    pvals = basis_values(pres_dofmap.space, rule.points)
-    unit_mass = np.einsum("q,qa,qb->ab", rule.weights, pvals, pvals)
-    unit_mean = rule.weights @ pvals
-    local = mesh.areas[:, None, None] * (
-        unit_mass - np.outer(unit_mean, unit_mean)
-    )[None, :, :]
-    return _scatter(
-        local,
-        pres_dofmap.cell_dofs,
-        pres_dofmap.cell_dofs,
-        (pres_dofmap.n_dofs, pres_dofmap.n_dofs),
-    )
+    return _pressure_form(mesh, pres_dofmap, centered=True)
 
 
 def assemble_load(mesh, vel_dofmap, f):
@@ -217,17 +209,16 @@ class SaddleSystem:
 KERNEL_REGULARIZATION = 1e-8
 
 
-def build_saddle_system(mesh, pair, problem):
-    """Assemble all blocks of ``pair`` for ``problem`` on ``mesh``.
+def assemble_operator(mesh, pair, nu):
+    """The ``SaddleSystem`` of ``pair`` on ``mesh`` at viscosity ``nu`` for zero data.
 
-    Returns the system together with the Dirichlet data derived from the
-    problem's boundary field. ``ncp1-p1`` gets ``G``, the projection form
-    times ``KERNEL_REGULARIZATION / nu``; its raw singular system is
-    ``dataclasses.replace(system, G=None, regularization=0.0)``.
+    The one place that builds a pair's dof maps, ``A``, ``B``, ``G``, ``M`` and ``c``.
+    ``ncp1-p1`` gets ``G``, the projection form times ``KERNEL_REGULARIZATION / nu``;
+    its raw singular system is ``dataclasses.replace(system, G=None, regularization=0.0)``.
     """
     vel_dm = build_dofmap(mesh, pair.velocity_space)
     pres_dm = build_dofmap(mesh, pair.pressure_space)
-    A = assemble_stiffness(mesh, vel_dm, nu=problem.nu)
+    A = assemble_stiffness(mesh, vel_dm, nu=nu)
     B = assemble_divergence(mesh, vel_dm, pres_dm)
     regularization = 0.0
     G = None
@@ -237,17 +228,22 @@ def build_saddle_system(mesh, pair, problem):
         # dividing by the viscosity keeps the perturbation on the scale
         # of the pressure Schur complement, so the selected pressure
         # representative is invariant under viscosity scaling
-        regularization = KERNEL_REGULARIZATION / problem.nu
+        regularization = KERNEL_REGULARIZATION / nu
         G = assemble_stabilization(mesh, pres_dm) * regularization
     mass = assemble_pressure_mass(mesh, pres_dm)
     c = np.asarray(mass @ np.ones(pres_dm.n_dofs))
-    rhs_u = assemble_load(mesh, vel_dm, problem.f)
-    bc = dirichlet_from_field(mesh, vel_dm, problem.g)
-    system = SaddleSystem(
-        A=A, B=B, G=G, M=mass, c=c, rhs_u=rhs_u, vel_dofmap=vel_dm, pres_dofmap=pres_dm,
-        nu=problem.nu, regularization=regularization,
+    return SaddleSystem(
+        A=A, B=B, G=G, M=mass, c=c, rhs_u=np.zeros(vel_dm.n_dofs), vel_dofmap=vel_dm,
+        pres_dofmap=pres_dm, nu=nu, regularization=regularization,
     )
-    return system, bc
+
+
+def build_saddle_system(mesh, pair, problem):
+    """``assemble_operator`` at ``problem.nu`` with the problem's body-force load,
+    and the Dirichlet data of its boundary field."""
+    system = assemble_operator(mesh, pair, problem.nu)
+    system.rhs_u = assemble_load(mesh, system.vel_dofmap, problem.f)
+    return system, dirichlet_from_field(mesh, system.vel_dofmap, problem.g)
 
 
 @dataclass

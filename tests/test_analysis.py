@@ -244,6 +244,16 @@ def test_infsup_rejects_unknown_method(mesh_n2, method):
         estimate_infsup(mesh_n2, PairId.NCP1_P0, method=method)
 
 
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_infsup_needs_a_mean_free_pressure(reference_triangle_mesh, method):
+    # one triangle carries a single P0 pressure unknown: only the constant
+    with pytest.raises(ValueError, match="ncp1-p0 has a single pressure unknown"):
+        estimate_infsup(reference_triangle_mesh, PairId.NCP1_P0, method=method)
+    # three P1 pressure unknowns leave two mean-free pressures, and with every velocity
+    # dof on the boundary no velocity sees them
+    assert estimate_infsup(reference_triangle_mesh, PairId.NCP1_P1, method=method).beta_h == 0.0
+
+
 def test_consistency_error_vanishes_for_conforming_polynomial_data(mesh_n8):
     problem = linear_problem()
     zero_f = problem.f

@@ -11,11 +11,13 @@ from ncstokes.assembly import (
     apply_constraints,
     assemble_divergence,
     assemble_load,
+    assemble_operator,
     assemble_pressure_mass,
     assemble_stabilization,
     assemble_stiffness,
     build_saddle_system,
     dirichlet_from_field,
+    restrict_to_interior,
 )
 from ncstokes.errors import DegenerateElementError, InconsistentBCError
 from ncstokes.femspace import SpaceKind, basis_values, build_dofmap, interpolate, quadrature
@@ -336,6 +338,28 @@ def test_reduced_system_matches_the_bmat_construction_bit_for_bit(mesh_source, p
         assert_same_arrays(reduced.A_II, A_II)
         assert_same_arrays(reduced.B_I, B_I)
         np.testing.assert_array_equal(reduced.rhs.view(np.int64), rhs.view(np.int64))
+
+
+@REDUCED_CASES
+def test_operator_gives_the_solve_and_estimator_blocks_bit_for_bit(mesh_source, pair,
+                                                                   regularization, nu):
+    mesh = mesh_from(mesh_source)
+    system, _ = build_saddle_system(mesh, pair, mms_problem(nu))
+    operator = assemble_operator(mesh, pair, nu)
+    assert (operator.nu, operator.regularization) == (system.nu, system.regularization)
+    for block in ("A", "B", "G", "M"):
+        if getattr(system, block) is None:
+            assert getattr(operator, block) is None
+        else:
+            assert_same_arrays(getattr(operator, block), getattr(system, block))
+    np.testing.assert_array_equal(operator.c.view(np.int64), system.c.view(np.int64))
+    assert not operator.rhs_u.any()
+    # the inf-sup estimator's blocks are those of a solve at unit viscosity
+    unit = assemble_operator(mesh, pair, 1.0)
+    _, A_II, B_I = restrict_to_interior(unit.vel_dofmap, unit.A, unit.B)
+    reduced = apply_constraints(*build_saddle_system(mesh, pair, mms_problem(1.0)))
+    assert_same_arrays(A_II, reduced.A_II)
+    assert_same_arrays(B_I, reduced.B_I)
 
 
 @REDUCED_CASES

@@ -67,6 +67,7 @@ DATA = Path(__file__).parent / "data"
         ("solve_ncp1-p1_cavity_jittered_n6.vtk",
          ["solve", "--pair", "ncp1-p1", "--solver", "direct", "--problem", "cavity",
           "--mesh", str(DATA / "jittered_flipped_n6.mesh")]),
+        ("infsup_ncp1-p0_n2-16.csv", ["infsup", "--pair", "ncp1-p0", "--levels", "2,4,8,16"]),
     ],
 )
 def test_output_matches_golden_bytes(tmp_path, golden, args):

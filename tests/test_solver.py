@@ -7,7 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 from ncstokes import analysis, solver
-from ncstokes.assembly import apply_constraints, assemble_stiffness, build_saddle_system
+from ncstokes.assembly import (
+    apply_constraints,
+    assemble_operator,
+    assemble_stiffness,
+    build_saddle_system,
+    restrict_to_interior,
+)
 from ncstokes.errors import IterationDivergenceError, SingularSystemError
 from ncstokes.femspace import SpaceKind, build_dofmap
 from ncstokes.mesh import build_structured_mesh, read_mesh
@@ -320,7 +326,7 @@ def test_cg_preconditioned_failure_names_residual_tolerance_and_iterations(rng):
 
 def test_pressure_inverse_divides_a_diagonal_mass_bit_for_bit(rng):
     mesh = build_structured_mesh(8)
-    _, _, M, _ = analysis._reduced_infsup_blocks(mesh, PairId.NCP1_P0)
+    M = assemble_operator(mesh, PairId.NCP1_P0, 1.0).M
     b = rng.standard_normal(M.shape[0])
     lu, _ = solver._factorize(M)
     np.testing.assert_array_equal(solver._pressure_inverse(M)(b), lu.solve(b))
@@ -671,7 +677,8 @@ def test_uzawa_factors_the_half_size_scalar_block(pair, splu_shapes):
 
 def test_infsup_iterative_factors_the_half_size_scalar_block(splu_shapes):
     mesh = build_structured_mesh(8)
-    A_II, *_ = analysis._reduced_infsup_blocks(mesh, PairId.NCP1_P0)
+    operator = assemble_operator(mesh, PairId.NCP1_P0, 1.0)
+    _, A_II, _ = restrict_to_interior(operator.vel_dofmap, operator.A)
     half = A_II.shape[0] // 2
     analysis.estimate_infsup(mesh, PairId.NCP1_P0, method="iterative")
     # the diagonal P0 mass is inverted by division, without a factor
