@@ -33,7 +33,6 @@ from .femspace import (
     build_dofmap,
     physical_gradients,
     quadrature,
-    quadrature_points,
 )
 from .solver import _component_factor, _factorize, _pressure_inverse, _shifted_schur
 
@@ -80,44 +79,38 @@ def error_norms(mesh, solution, problem):
     if not problem.has_exact_solution:
         raise ValueError(f"problem '{problem.name}' has no exact solution")
     rule = quadrature(6)
-    pts = quadrature_points(mesh, rule)
-    x, y = pts[:, :, 0], pts[:, :, 1]
-    w = rule.weights
-    areas = mesh.areas
+    x, y = mesh.degree6_points[:, :, 0], mesh.degree6_points[:, :, 1]
+    # the weight of every quadrature point, (T * nq,): its triangle's area times its rule weight
+    weights = np.outer(mesh.areas, rule.weights).ravel()
+
+    def integral(field):
+        """The integral of the square of ``field`` (..., T, nq), summed over its components."""
+        flat = field.reshape(-1, len(weights))
+        return float(((flat * flat) @ weights).sum())
 
     vel_dm = solution.u.dofmap
-    vals = basis_values(vel_dm.space, rule.points)
-    grads = physical_gradients(mesh, vel_dm.space)
-    cu = solution.u.values[vel_dm.cell_dofs].reshape(mesh.n_triangles, 3, 2)
-    uh = np.einsum("qi,tic->tqc", vals, cu)
-    grad_uh = np.einsum("tid,tic->tcd", grads, cu)
-
-    exact_u = np.moveaxis(np.asarray(problem.exact_u(x, y)), 0, -1)
-    exact_gu = np.moveaxis(np.asarray(problem.exact_grad_u(x, y)), (0, 1), (2, 3))
-
-    du = uh - exact_u
-    l2_u_sq = float(np.einsum("t,q,tqc->", areas, w, du**2))
-    dg = grad_uh[:, None, :, :] - exact_gu
-    h1_sq = float(np.einsum("t,q,tqcd->", areas, w, dg**2))
-    norm_u_sq = float(np.einsum("t,q,tqc->", areas, w, exact_u**2))
-    norm_gu_sq = float(np.einsum("t,q,tqcd->", areas, w, exact_gu**2))
+    # (2, T, 3): each component's three coefficients on every triangle
+    cu = solution.u.values[vel_dm.cell_dofs].reshape(mesh.n_triangles, 3, 2).transpose(2, 0, 1)
+    uh = cu @ basis_values(vel_dm.space, rule.points).T  # (2, T, nq)
+    # (2, T, 1, 2) -> (2, 2, T, 1): the constant gradient of each component on every triangle
+    grad_uh = (cu[:, :, None, :] @ physical_gradients(mesh, vel_dm.space)).transpose(0, 3, 1, 2)
+    exact_u = np.asarray(problem.exact_u(x, y))
+    exact_gu = np.asarray(problem.exact_grad_u(x, y))
 
     pres_dm = solution.p.dofmap
-    pvals = basis_values(pres_dm.space, rule.points)
-    cp = solution.p.values[pres_dm.cell_dofs]
-    ph = np.einsum("qa,ta->tq", pvals, cp)
+    ph = solution.p.values[pres_dm.cell_dofs] @ basis_values(pres_dm.space, rule.points).T
     exact_p = np.asarray(problem.exact_p(x, y))
-    l2_p_sq = float(np.einsum("t,q,tq->", areas, w, (ph - exact_p) ** 2))
-    norm_p_sq = float(np.einsum("t,q,tq->", areas, w, exact_p**2))
 
-    l2_u, h1h_u, l2_p = np.sqrt([l2_u_sq, h1_sq, l2_p_sq])
+    l2_u, h1h_u, l2_p = np.sqrt(
+        [integral(uh - exact_u), integral(grad_uh - exact_gu), integral(ph - exact_p)]
+    )
     return ErrorReport(
         l2_u=l2_u,
         h1h_u=h1h_u,
         l2_p=l2_p,
-        rel_l2_u=l2_u / np.sqrt(norm_u_sq),
-        rel_h1_u=h1h_u / np.sqrt(norm_gu_sq),
-        rel_l2_p=l2_p / np.sqrt(norm_p_sq),
+        rel_l2_u=l2_u / np.sqrt(integral(exact_u)),
+        rel_h1_u=h1h_u / np.sqrt(integral(exact_gu)),
+        rel_l2_p=l2_p / np.sqrt(integral(exact_p)),
     )
 
 
@@ -204,7 +197,8 @@ def _infsup_arnoldi(A_II, B_I, M, c, seed):
     except spla.ArpackNoConvergence as exc:
         raise EigenNonConvergenceError(
             f"Arnoldi did not converge to tolerance 0 (machine precision) after "
-            f"{10 * M.shape[0]} restarts and {applications} operator applications"
+            f"{10 * M.shape[0]} restarts and {applications} operator applications",
+            residual=None, tolerance=0.0, iterations=applications,
         ) from exc
     lam, x = float(lams[0].real), vecs[:, 0].real
     Mx = M @ x
@@ -212,7 +206,8 @@ def _infsup_arnoldi(A_II, B_I, M, c, seed):
     if not residual <= _RESIDUAL_TOL:
         raise EigenNonConvergenceError(
             f"Arnoldi residual {residual:.3e} above tolerance {_RESIDUAL_TOL:.1e} "
-            f"after {applications} operator applications"
+            f"after {applications} operator applications",
+            residual=residual, tolerance=_RESIDUAL_TOL, iterations=applications,
         )
     return lam
 
@@ -260,8 +255,7 @@ def consistency_error(mesh, problem):
         raise ValueError(f"problem '{problem.name}' has no exact solution")
     dm = build_dofmap(mesh, SpaceKind.NCP1_VECTOR)
     rule = quadrature(6)
-    pts = quadrature_points(mesh, rule)
-    x, y = pts[:, :, 0], pts[:, :, 1]
+    x, y = mesh.degree6_points[:, :, 0], mesh.degree6_points[:, :, 1]
     w = rule.weights
     areas = mesh.areas
 

@@ -20,7 +20,6 @@ from .femspace import (
     dof_sites,
     physical_gradients,
     quadrature,
-    quadrature_points,
 )
 
 _AREA_FLOOR = 1e-14
@@ -140,7 +139,7 @@ def assemble_load(mesh, vel_dofmap, f):
         raise ValueError("load vector expects a vector velocity space")
     _check_areas(mesh)
     rule = quadrature(6)
-    points = quadrature_points(mesh, rule)
+    points = mesh.degree6_points
     fvals = np.asarray(f(points[:, :, 0], points[:, :, 1]), dtype=np.float64)
     if fvals.shape != (2,) + points.shape[:2]:
         raise ValueError(f"body force returned shape {fvals.shape}")

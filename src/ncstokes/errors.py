@@ -26,7 +26,20 @@ class InconsistentBCError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A solve or eigensolve broke down on well-formed input."""
+    """A solve or eigensolve broke down on well-formed input.
+
+    An iteration that misses its tolerance says by how much: ``residual`` is
+    its final residual (None where the method reports none), ``tolerance`` the
+    bound it missed, in the residual's own scale, and ``iterations`` the
+    refinements, CG steps or operator applications it ran. A factor breakdown
+    leaves all three None.
+    """
+
+    def __init__(self, message, residual=None, tolerance=None, iterations=None):
+        super().__init__(message)
+        self.residual = residual
+        self.tolerance = tolerance
+        self.iterations = iterations
 
 
 class SingularSystemError(NumericalError):

@@ -8,9 +8,12 @@ Lines may carry ``#`` comments.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import MeshParseError, NonConformingMeshError
+from .femspace import quadrature, quadrature_points
 
 
 def build_edge_table(vertices, triangles):
@@ -77,9 +80,11 @@ class Mesh:
     vertex pair, ordered lexicographically by sorted endpoints; an edge is a
     boundary edge iff it has exactly one adjacent triangle.
     ``barycentric_gradients`` (T, 3, 2) holds the constant gradients of each
-    triangle's barycentric coordinates, which every form reads. All arrays are
-    write-protected after construction, so a mesh may be shared freely across
-    workers.
+    triangle's barycentric coordinates, which every form reads.
+    ``degree6_points`` (T, 12, 2) holds the physical points of the degree-6
+    rule, which the load and the error norms integrate with; it is computed on
+    first use. All arrays are write-protected, so a mesh may be shared freely
+    across workers.
     """
 
     def __init__(self, vertices, triangles):
@@ -132,6 +137,12 @@ class Mesh:
             self.centroids,
         ):
             arr.setflags(write=False)
+
+    @cached_property
+    def degree6_points(self):
+        points = quadrature_points(self, quadrature(6))
+        points.setflags(write=False)
+        return points
 
     @property
     def n_vertices(self):

@@ -50,25 +50,26 @@ def _factorize(matrix, order=None):
         options = dict(permc_spec="MMD_AT_PLUS_A", **_STATIC_PIVOTS)
     else:
         strategy, options = "COLAMD, threshold pivots", {}
+    return _superlu(spla.splu, matrix, strategy, options), strategy
+
+
+def _superlu(factor, matrix, strategy, options):
+    """``factor(matrix, **options)``, a SuperLU breakdown raised as ``SingularSystemError``."""
     try:
-        return spla.splu(matrix, **options), strategy
+        return factor(matrix, **options)
     except RuntimeError as exc:
         raise SingularSystemError(f"factorization failed ({strategy}): {exc}") from exc
 
 
-def _component_factor(A_II):
-    """One factor of the scalar block behind a two-component interior stiffness.
+def _scalar_block(A_II):
+    """The scalar block ``K = A_II[0::2, 0::2]`` of a two-component interior stiffness.
 
     ``A_II`` interleaves the two velocity components of every interior dof
     (``assemble_stiffness`` copies one scalar block onto both and the
     Dirichlet set covers both components of a boundary dof), so it is two
-    copies of ``K = A_II[0::2, 0::2]``. That is checked: a nonzero coupling
-    between the components, or a second block that differs from ``K`` by more
-    than ``1e-12 * max|K|``, raises ``ValueError`` naming the largest
-    mismatch. ``K`` is factored once and the solve maps an interior vector
-    or block ``y`` to ``A_II^-1 y`` with one SuperLU solve, the components as
-    extra right-hand-side columns. Returns the SuperLU factor of ``K``, its
-    strategy and the solve.
+    copies of ``K``. That is checked: a nonzero coupling between the
+    components, or a second block that differs from ``K`` by more than
+    ``1e-12 * max|K|``, raises ``ValueError`` naming the largest mismatch.
     """
     A = sp.csr_matrix(A_II)
     n_i = A.shape[0]
@@ -91,13 +92,26 @@ def _component_factor(A_II):
     bound = 1e-12 * np.abs(K.data).max(initial=0.0)
     if not difference <= bound:
         raise mismatch(difference, "second component block", bound)
+    return K
+
+
+def _component_factor(A_II):
+    """One factor of the scalar block behind a two-component interior stiffness.
+
+    ``K``, checked by ``_scalar_block``, is factored once and the solve maps
+    an interior vector or block ``y`` to ``A_II^-1 y`` with one SuperLU solve,
+    the components as extra right-hand-side columns. Returns the SuperLU
+    factor of ``K``, its strategy and the solve.
+    """
+    K = _scalar_block(A_II)
+    n_k = K.shape[0]
     # K is bitwise symmetric, like the A it is cut from: K.T is its CSC form on the same arrays
     lu, strategy = _factorize(K.T)
 
     def solve(y):
-        # the column count is spelled out: reshape cannot infer it when n_i == 0
+        # the column count is spelled out: reshape cannot infer it when n_k == 0
         columns = 2 * math.prod(y.shape[1:])
-        return lu.solve(y.reshape(n_i // 2, columns)).reshape(y.shape)
+        return lu.solve(y.reshape(n_k, columns)).reshape(y.shape)
 
     return lu, strategy, solve
 
@@ -147,15 +161,19 @@ def _zero_p0_block_order(reduced):
     components. Each pressure comes right after the last velocity it couples
     to through a nonzero of ``B_I``, so its pivot has been filled in by then
     (after the first one it would still be zero); the multiplier comes last.
-    The scalar order is read from ``_component_factor``'s factor of that
-    block, which checks that ``A_II`` is two copies of it. Returns None for
-    any other system.
+    The scalar block comes from ``_scalar_block``, which checks that ``A_II``
+    is two copies of it. Its order is the ``perm_c`` of an incomplete factor
+    that drops every off-diagonal entry: SuperLU orders before it factors, so
+    that is the full factor's order without its numeric work. Returns None
+    for any other system.
     """
     if reduced.G is not None or reduced.pres_dofmap.space is not SpaceKind.P0_SCALAR:
         return None
     n_i = reduced.n_interior
-    scalar_lu, _, _ = _component_factor(reduced.A_II)
-    scalar = np.argsort(scalar_lu.perm_c)  # perm_c[j] is the position of column j
+    K = _scalar_block(reduced.A_II)
+    options = dict(drop_tol=np.inf, permc_spec="MMD_AT_PLUS_A", **_STATIC_PIVOTS)
+    ordering = _superlu(spla.spilu, K.T, "MMD_AT_PLUS_A, static pivots", options)
+    scalar = np.argsort(ordering.perm_c)  # perm_c[j] is the position of column j
     position = np.empty(n_i, dtype=np.int64)
     position[np.column_stack([2 * scalar, 2 * scalar + 1]).ravel()] = np.arange(n_i)
     coupling = reduced.B_I.tocsr(copy=True)
@@ -181,7 +199,8 @@ def _refine(matrix, rhs, solve, error, what):
             return x
         if passes < 3:
             x = x + solve(defect)
-    raise error(f"residual {residual:.3e} above tolerance {bound:.3e} after 3 {what}")
+    raise error(f"residual {residual:.3e} above tolerance {bound:.3e} after 3 {what}",
+                residual=residual, tolerance=bound, iterations=3)
 
 
 class Factorization:
@@ -335,7 +354,8 @@ def _cg(apply_op, b, tol, maxiter, precondition):
         rz = rz_new
     raise IterationDivergenceError(
         f"CG residual {residual / scale:.3e} (relative) above tolerance {tol:.1e} "
-        f"after {maxiter} iterations"
+        f"after {maxiter} iterations",
+        residual=residual / scale, tolerance=tol, iterations=maxiter,
     )
 
 

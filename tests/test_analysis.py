@@ -14,7 +14,16 @@ from ncstokes.analysis import (
 from ncstokes.assembly import assemble_divergence, build_saddle_system, apply_constraints
 from ncstokes.cli import solve_on_mesh
 from ncstokes.errors import EigenNonConvergenceError
-from ncstokes.femspace import FieldCoefficients, SpaceKind, build_dofmap, interpolate
+from ncstokes.femspace import (
+    FieldCoefficients,
+    SpaceKind,
+    basis_values,
+    build_dofmap,
+    interpolate,
+    physical_gradients,
+    quadrature,
+    quadrature_points,
+)
 from ncstokes.mesh import build_structured_mesh
 from ncstokes.pairs import PairId
 from ncstokes.problems import ProblemSpec, mms_problem
@@ -58,6 +67,44 @@ def test_error_norms_vanish_for_reproduced_linear_fields(mesh_n4):
     assert report.l2_u <= 1e-12
     assert report.h1h_u <= 1e-12
     assert report.l2_p <= 1e-12
+
+
+def einsum_error_norms(mesh, solution, problem):
+    """The six errors of ``error_norms`` as einsum contractions over (T, nq, component)
+    arrays: the reference for its matrix products."""
+    rule = quadrature(6)
+    points = quadrature_points(mesh, rule)
+    x, y = points[:, :, 0], points[:, :, 1]
+    w, areas = rule.weights, mesh.areas
+    vel_dm, pres_dm = solution.u.dofmap, solution.p.dofmap
+    cu = solution.u.values[vel_dm.cell_dofs].reshape(mesh.n_triangles, 3, 2)
+    uh = np.einsum("qi,tic->tqc", basis_values(vel_dm.space, rule.points), cu)
+    grad_uh = np.einsum("tid,tic->tcd", physical_gradients(mesh, vel_dm.space), cu)
+    exact_u = np.moveaxis(np.asarray(problem.exact_u(x, y)), 0, -1)
+    exact_gu = np.moveaxis(np.asarray(problem.exact_grad_u(x, y)), (0, 1), (2, 3))
+    ph = np.einsum("qa,ta->tq", basis_values(pres_dm.space, rule.points),
+                   solution.p.values[pres_dm.cell_dofs])
+    exact_p = np.asarray(problem.exact_p(x, y))
+    l2_u = np.sqrt(np.einsum("t,q,tqc->", areas, w, (uh - exact_u) ** 2))
+    h1h_u = np.sqrt(np.einsum("t,q,tqcd->", areas, w, (grad_uh[:, None] - exact_gu) ** 2))
+    l2_p = np.sqrt(np.einsum("t,q,tq->", areas, w, (ph - exact_p) ** 2))
+    return [l2_u, h1h_u, l2_p,
+            l2_u / np.sqrt(np.einsum("t,q,tqc->", areas, w, exact_u**2)),
+            h1h_u / np.sqrt(np.einsum("t,q,tqcd->", areas, w, exact_gu**2)),
+            l2_p / np.sqrt(np.einsum("t,q,tq->", areas, w, exact_p**2))]
+
+
+@pytest.mark.parametrize("pair", [PairId.NCP1_P0, PairId.NCP1_P1, PairId.P1_P1_STAB])
+@pytest.mark.parametrize("mesh_source", ["n10", "jittered"])
+def test_error_norms_agree_with_their_einsum_form(pair, mesh_source, jittered_flipped_mesh):
+    mesh = jittered_flipped_mesh(7) if mesh_source == "jittered" else build_structured_mesh(10)
+    problem = mms_problem(nu=0.0123)
+    _, solution = solve_on_mesh(mesh, pair, problem)
+    report = error_norms(mesh, solution, problem)
+    got = [report.l2_u, report.h1h_u, report.l2_p,
+           report.rel_l2_u, report.rel_h1_u, report.rel_l2_p]
+    # the sums run in another order: a few ulps apart, nowhere near the CSV's six digits
+    np.testing.assert_allclose(got, einsum_error_norms(mesh, solution, problem), rtol=1e-12)
 
 
 def test_error_norms_require_exact_solution(mesh_n2):
@@ -183,8 +230,11 @@ def test_infsup_iterative_failure_names_residual_tolerance_and_iterations(monkey
         EigenNonConvergenceError,
         match=r"^Arnoldi did not converge to tolerance 0 \(machine precision\) after "
         r"5120 restarts and \d+ operator applications$",
-    ):
+    ) as failure:
         estimate_infsup(build_structured_mesh(16), PairId.NCP1_P0, method="iterative")
+    assert failure.value.residual is None
+    assert failure.value.tolerance == 0.0
+    assert failure.value.iterations == 2  # the stub's two applications
 
 
 @pytest.mark.parametrize("pair", list(PairId))
@@ -199,8 +249,11 @@ def test_infsup_residual_check_rejects_the_constant_pressure(monkeypatch, pair):
         EigenNonConvergenceError,
         match=r"^Arnoldi residual 1\.000e\+00 above tolerance 1\.0e-06 "
         r"after 0 operator applications$",
-    ):
+    ) as failure:
         estimate_infsup(build_structured_mesh(8), pair, method="iterative")
+    assert failure.value.residual == pytest.approx(1.0)
+    assert failure.value.tolerance == 1e-6
+    assert failure.value.iterations == 0
 
 
 def test_infsup_iterative_is_singular_where_dense_is():
@@ -227,6 +280,13 @@ def test_infsup_estimator_is_deterministic(mesh_n4):
     a = estimate_infsup(mesh_n4, PairId.NCP1_P0, method="iterative").beta_h
     b = estimate_infsup(mesh_n4, PairId.NCP1_P0, method="iterative").beta_h
     assert a == b
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_infsup_does_not_compute_the_degree6_points(method):
+    mesh = build_structured_mesh(4)
+    estimate_infsup(mesh, PairId.NCP1_P0, method=method)
+    assert "degree6_points" not in vars(mesh)
 
 
 def test_infsup_continuous_pressure_pair_is_singular_on_grid_topology():

@@ -267,3 +267,12 @@ def test_quadrature_points_match_the_einsum_bit_for_bit(mesh, degree):
     points = quadrature_points(mesh, rule)
     assert points.shape == expected.shape
     np.testing.assert_array_equal(points.view(np.int64), expected.view(np.int64))
+
+
+@GEOMETRY_MESHES
+def test_mesh_keeps_its_degree6_points_read_only(mesh):
+    expected = quadrature_points(mesh, quadrature(6))
+    np.testing.assert_array_equal(mesh.degree6_points.view(np.int64), expected.view(np.int64))
+    assert mesh.degree6_points is mesh.degree6_points  # computed once per mesh
+    with pytest.raises(ValueError):
+        mesh.degree6_points[0, 0, 0] = 1.0

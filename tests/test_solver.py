@@ -243,6 +243,14 @@ def test_uzawa_corrects_to_the_full_system_residual(pair, n):
     assert np.linalg.norm(direct.p.values - uzawa.p.values) <= 1e-7 * scale_p
 
 
+def assert_diagnosed(error, iterations):
+    """``error`` carries the residual its message prints, above its tolerance,
+    and the ``iterations`` it ran."""
+    assert f"residual {error.residual:.3e}" in str(error)
+    assert error.residual > error.tolerance
+    assert error.iterations == iterations
+
+
 def test_uzawa_failure_names_residual_tolerance_and_corrections(monkeypatch):
     _, _, reduced = reduced_system(4, PairId.NCP1_P0, mms_problem())
     # a Schur solve that never moves the pressure cannot meet the contract
@@ -251,8 +259,10 @@ def test_uzawa_failure_names_residual_tolerance_and_corrections(monkeypatch):
         IterationDivergenceError,
         match=r"residual \S+ above tolerance \S+ after 3 corrections "
         r"\(A_II: MMD_AT_PLUS_A, static pivots\)",
-    ):
+    ) as failure:
         solve_saddle(reduced, method="uzawa")
+    assert_diagnosed(failure.value, iterations=3)
+    assert failure.value.tolerance == pytest.approx(1e-10 * np.linalg.norm(reduced.rhs))
 
 
 def test_refinement_failure_names_residual_tolerance_and_refinements(monkeypatch):
@@ -263,8 +273,10 @@ def test_refinement_failure_names_residual_tolerance_and_refinements(monkeypatch
         SingularSystemError,
         match=r"residual \S+ above tolerance \S+ after 3 refinements "
         r"\(MMD_AT_PLUS_A, static pivots\)",
-    ):
+    ) as failure:
         Factorization(hilbert).solve(np.ones(10))
+    assert_diagnosed(failure.value, iterations=3)
+    assert failure.value.tolerance == 1e-30 * np.linalg.norm(np.ones(10))
 
 
 def shifted_laplacian(rng, n=12):
@@ -296,9 +308,11 @@ def test_cg_failure_names_residual_tolerance_and_iterations(rng):
     with pytest.raises(
         IterationDivergenceError,
         match=r"CG residual \S+ \(relative\) above tolerance 1\.0e-12 after 1 iterations",
-    ):
+    ) as failure:
         _cg(lambda v: op @ v, rng.standard_normal(len(op)), tol=1e-12, maxiter=1,
             precondition=lambda r: r)
+    assert_diagnosed(failure.value, iterations=1)
+    assert failure.value.tolerance == 1e-12
 
 
 def test_cg_preconditioned_solves_the_shifted_laplacian(rng):
@@ -457,6 +471,36 @@ def test_saddle_order_puts_each_pressure_after_its_last_coupled_velocity():
     for q in range(n_p):
         between = order[last[q] + 1 : position[n_i + q]]
         assert (between >= n_i).all()
+
+
+ORDER_MESHES = [f"n{n}" for n in (1, 2, 5, 12, 33, 60)] + [
+    "jittered_flipped_n6.mesh", "jittered n9 seed 1", "jittered n17 seed 2", "jittered n24 seed 3",
+]
+
+
+@pytest.mark.parametrize("nu", [1.0, 0.0123])
+@pytest.mark.parametrize("mesh_source", ORDER_MESHES)
+def test_saddle_order_is_the_full_scalar_factors_order(mesh_source, nu, jittered_flipped_mesh,
+                                                       monkeypatch):
+    if mesh_source.startswith("jittered "):
+        _, n, _, seed = mesh_source.split()
+        mesh = jittered_flipped_mesh(int(n[1:]), seed=int(seed))
+    elif mesh_source.endswith(".mesh"):
+        mesh = read_mesh(DATA / mesh_source)
+    else:
+        mesh = build_structured_mesh(int(mesh_source[1:]))
+    system, bc = build_saddle_system(mesh, PairId.NCP1_P0, mms_problem(nu=nu))
+    reduced = apply_constraints(system, bc)
+    order = solver._zero_p0_block_order(reduced)
+    # the reference: the order read from a full LU of the scalar block instead
+    K = reduced.A_II.tocsr()[0::2, 0::2]
+    full = solver.spla.splu(K.T.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+    velocity = order[order < reduced.n_interior]
+    assert np.array_equal(velocity[0::2] // 2, np.argsort(full.perm_c))
+    monkeypatch.setattr(solver.spla, "spilu",
+                        lambda A, drop_tol, **options: solver.spla.splu(A, **options))
+    np.testing.assert_array_equal(order, solver._zero_p0_block_order(reduced))
 
 
 @pytest.mark.parametrize("pair", [PairId.NCP1_P1, PairId.NCP1_P1_STAB, PairId.P1_P1_STAB])
@@ -696,6 +740,8 @@ def singular_splu(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(solver.spla, "splu", breakdown)
+    # the ncp1-p0 saddle order is read from an incomplete factor
+    monkeypatch.setattr(solver.spla, "spilu", breakdown)
 
 
 BREAKDOWN = r"^factorization failed \(MMD_AT_PLUS_A, static pivots\): Factor is exactly singular$"
