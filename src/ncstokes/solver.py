@@ -274,7 +274,9 @@ def solve_saddle(reduced, method="direct"):
 
     ``method`` selects the sparse direct factorization of the augmented
     matrix (default) or the Schur-complement conjugate-gradient path
-    (``"uzawa"``) kept for cross validation. Both meet the same residual
+    (``"uzawa"``), which factors only the scalar block of the interior
+    stiffness; a convergence study takes it for a P0 pressure (see
+    ``run_convergence_study``). Both meet the same residual
     contract, ``||rhs - matrix @ x|| <= 1e-10 * ||rhs||``: the direct path by
     iterative refinement, Uzawa by up to three defect corrections.
     """

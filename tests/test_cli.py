@@ -68,12 +68,49 @@ DATA = Path(__file__).parent / "data"
          ["solve", "--pair", "ncp1-p1", "--solver", "direct", "--problem", "cavity",
           "--mesh", str(DATA / "jittered_flipped_n6.mesh")]),
         ("infsup_ncp1-p0_n2-16.csv", ["infsup", "--pair", "ncp1-p0", "--levels", "2,4,8,16"]),
+        # the direct path writes the bytes of the default, the Schur CG for a P0 pressure
+        ("convergence_ncp1-p0_mms1_nu0.01.csv",
+         ["convergence", "--pair", "ncp1-p0", "--solver", "direct", "--problem", "mms1",
+          "--levels", "10,20,30", "--nu", "0.01"]),
     ],
 )
 def test_output_matches_golden_bytes(tmp_path, golden, args):
     out = tmp_path / golden
     assert run_cli(*args, "--out", str(out)) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("nu", ["0.005", "0.0123", "0.02", "1"])
+def test_p0_convergence_default_writes_the_direct_bytes(tmp_path, nu):
+    args = ["convergence", "--pair", "ncp1-p0", "--levels", "4,8,16", "--nu", nu]
+    default, direct = tmp_path / "default.csv", tmp_path / "direct.csv"
+    assert run_cli(*args, "--out", str(default)) == 0
+    assert run_cli(*args, "--solver", "direct", "--out", str(direct)) == 0
+    assert default.read_bytes() == direct.read_bytes()
+
+
+def test_convergence_study_picks_the_solver_from_the_pair(monkeypatch):
+    import ncstokes.cli
+    from ncstokes.pairs import PairId
+    from ncstokes.problems import make_problem
+
+    methods = []
+    original = ncstokes.cli.solve_on_mesh
+
+    def spy(mesh, pair, problem, method=None):  # None if the study passed none
+        methods.append((pair, method))
+        return original(mesh, pair, problem, method=method)
+
+    monkeypatch.setattr(ncstokes.cli, "solve_on_mesh", spy)
+    problem = make_problem("mms1", nu=0.01)
+    for pair in PairId:
+        ncstokes.cli.run_convergence_study(pair, problem, [2])
+    assert methods == [(PairId.NCP1_P0, "uzawa"), (PairId.NCP1_P1, "direct"),
+                       (PairId.NCP1_P1_STAB, "direct"), (PairId.P1_P1_STAB, "direct")]
+    methods.clear()
+    for pair, method in [(PairId.NCP1_P0, "direct"), (PairId.NCP1_P1, "uzawa")]:
+        ncstokes.cli.run_convergence_study(pair, problem, [2], method=method)
+    assert methods == [(PairId.NCP1_P0, "direct"), (PairId.NCP1_P1, "uzawa")]
 
 
 def test_unknown_pair_is_config_error(tmp_path):
@@ -286,6 +323,11 @@ FAILURE_CONTRACT = {
                        "--n", "4"], 2,
                       "numerical failure: residual 4.176e-01 above tolerance 1.507e-09 "
                       "after 3 corrections (A_II: MMD_AT_PLUS_A, static pivots)\n"),
+    # the same system as uzawa-failure, reached through the convergence default
+    "p0-study-failure": (["convergence", "--pair", "ncp1-p0", "--problem", "mms1",
+                          "--levels", "4"], 2,
+                         "numerical failure: residual 4.176e-01 above tolerance 1.507e-09 "
+                         "after 3 corrections (A_II: MMD_AT_PLUS_A, static pivots)\n"),
 }
 
 
@@ -293,7 +335,8 @@ FAILURE_CONTRACT = {
 def test_failure_contract(tmp_path, monkeypatch, capsys, case):
     import ncstokes.solver
 
-    # Uzawa's inner solve returns zeros; only the uzawa row reaches it
+    # Uzawa's inner solve returns zeros; only the two failure rows reach it, the
+    # second through the Schur CG that a P0-pressure convergence study takes by default
     monkeypatch.setattr(ncstokes.solver, "_cg", lambda apply_op, b, **kw: np.zeros_like(b))
     (tmp_path / "bad.mesh").write_text("3 1\n0 0\n1 0\n0 x\n0 1 2\n")
     (tmp_path / "overflow.mesh").write_text("3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n")
